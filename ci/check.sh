@@ -23,8 +23,27 @@ cmake --build --preset default -j "$(nproc)"
 step "unit tests"
 ctest --preset default --output-on-failure -j "$(nproc)"
 
-step "chaos fault-injection suite (ctest -L chaos)"
+step "chaos fault-injection suite (ctest -L chaos + stdout byte-identity)"
 ctest --preset default -L chaos --output-on-failure
+# The chaos campaigns are the only runs where the SED, LA and peer-MA
+# heartbeat beacons and watchdogs all fire at scale, so their whole stdout
+# is pinned (sha256 prefix), not just the science digest.
+while read -r plan mas want; do
+  got=$(./build/examples/zoom_campaign --fault-plan "$plan" --mas "$mas" \
+          --digest 2>/dev/null | sha256sum | cut -c1-16)
+  if [[ "$got" != "$want" ]]; then
+    echo "chaos --fault-plan $plan --mas $mas: stdout $got, pinned $want"
+    exit 1
+  fi
+done <<'PINS'
+mixed      1 47c88cb1f75fa939
+mixed      2 0c8861f5cdd1f651
+crash-only 1 2cde4b73faaff0c1
+crash-only 2 c5b6ae7a999a9e09
+drop-only  1 59c2eba1bc94c9e6
+drop-only  2 032928838a00916e
+PINS
+echo "6 chaos campaign stdouts byte-identical to their pins"
 
 step "gclint over src/"
 ./build/tools/gclint/gclint src

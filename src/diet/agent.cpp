@@ -18,7 +18,24 @@ Agent::Agent(Kind kind, std::string name,
       name_(std::move(name)),
       policy_(std::move(policy)),
       tuning_(tuning),
-      rng_(seed) {
+      rng_(seed),
+      child_watch_(*this, children_, tuning.heartbeat_timeout, failed_,
+                   [this](Child& child) { on_child_dead(child); },
+                   [this](Child& child) {
+                     // Its beacons were only dropped, or its partition ended.
+                     GC_WARN << "agent " << name_
+                             << ": heartbeat from dead-marked " << child.name
+                             << ", reviving it";
+                     trace_instant("hb-revive:" + child.name);
+                   }),
+      peer_watch_(*this, peers_, tuning.heartbeat_timeout, failed_,
+                  [this](Peer& peer) { on_peer_dead(peer); },
+                  [this](Peer& peer) {
+                    GC_WARN << "agent " << name_
+                            << ": heartbeat from ejected peer MA " << peer.name
+                            << ", re-admitting the shard";
+                    trace_instant("peer-revive:" + peer.name);
+                  }) {
   GC_CHECK(policy_ != nullptr);
 }
 
@@ -31,18 +48,11 @@ void Agent::register_at(net::Endpoint parent) {
   GC_CHECK_MSG(kind_ == Kind::kLocal, "only LAs register at a parent");
   parent_ = parent;
   propagate_services();
-  if (tuning_.heartbeat_period > 0.0) arm_heartbeat();
-}
-
-void Agent::arm_heartbeat() {
-  const std::uint64_t epoch = epoch_;
-  env()->post_after_as(endpoint(), tuning_.heartbeat_period, [this, epoch]() {
-    if (epoch != epoch_ || failed_ || parent_ == net::kNullEndpoint) return;
+  start_beacon(*this, tuning_.heartbeat_period, epoch_, [this]() {
     HeartbeatMsg beat;
     beat.seq = ++heartbeat_seq_;
     env()->send(
         net::Envelope{endpoint(), parent_, kHeartbeat, beat.encode(), 0});
-    arm_heartbeat();
   });
 }
 
@@ -54,18 +64,8 @@ void Agent::fail() {
 
 void Agent::shutdown() {
   ++epoch_;
-  for (auto& child : children_) {
-    if (child.hb_timer != 0) {
-      env()->cancel_timer(child.hb_timer);
-      child.hb_timer = 0;
-    }
-  }
-  for (auto& peer : peers_) {
-    if (peer.hb_timer != 0) {
-      env()->cancel_timer(peer.hb_timer);
-      peer.hb_timer = 0;
-    }
-  }
+  child_watch_.cancel_all();
+  peer_watch_.cancel_all();
 }
 
 void Agent::set_federation(std::uint32_t ma_uid,
@@ -79,11 +79,11 @@ void Agent::set_federation(std::uint32_t ma_uid,
 void Agent::connect_peer(net::Endpoint peer_endpoint) {
   GC_CHECK_MSG(kind_ == Kind::kMaster, "only MAs federate");
   GC_CHECK_MSG(ma_uid_ != 0, "set_federation() before connect_peer()");
-  if (find_peer(peer_endpoint) == nullptr) {
+  if (find_record(peers_, peer_endpoint) == nullptr) {
     Peer peer;
     peer.endpoint = peer_endpoint;
     peers_.push_back(std::move(peer));
-    arm_peer_deadline(peer_endpoint);
+    peer_watch_.arm(peers_.back());
   }
   // Always announce, even if the peer was already learned passively from
   // ITS announce — it still needs ours.
@@ -93,63 +93,29 @@ void Agent::connect_peer(net::Endpoint peer_endpoint) {
   msg.services.assign(services_.begin(), services_.end());
   env()->send(net::Envelope{endpoint(), peer_endpoint, kPeerAnnounce,
                             msg.encode(), 0});
-  if (tuning_.heartbeat_period > 0.0 && !peer_beat_armed_) {
+  if (!peer_beat_armed_) {
     peer_beat_armed_ = true;
-    arm_peer_beat();
+    start_beacon(*this, tuning_.heartbeat_period, epoch_, [this]() {
+      HeartbeatMsg beat;
+      beat.seq = ++heartbeat_seq_;
+      const net::Bytes payload = beat.encode();
+      // Dead-marked peers are beaten too: our beacons are what revive us
+      // in THEIR watchdog once a partition ends.
+      for (const auto& peer : peers_) {
+        env()->send(
+            net::Envelope{endpoint(), peer.endpoint, kHeartbeat, payload, 0});
+      }
+    });
   }
 }
 
-Agent::Peer* Agent::find_peer(net::Endpoint endpoint) {
-  for (auto& peer : peers_) {
-    if (peer.endpoint == endpoint) return &peer;
-  }
-  return nullptr;
-}
-
-void Agent::arm_peer_beat() {
-  const std::uint64_t epoch = epoch_;
-  env()->post_after_as(endpoint(), tuning_.heartbeat_period, [this, epoch]() {
-    if (epoch != epoch_ || failed_) return;
-    HeartbeatMsg beat;
-    beat.seq = ++heartbeat_seq_;
-    const net::Bytes payload = beat.encode();
-    // Dead-marked peers are beaten too: our beacons are what revive us in
-    // THEIR watchdog once a partition ends.
-    for (const auto& peer : peers_) {
-      env()->send(
-          net::Envelope{endpoint(), peer.endpoint, kHeartbeat, payload, 0});
-    }
-    arm_peer_beat();
-  });
-}
-
-void Agent::arm_peer_deadline(net::Endpoint peer_endpoint) {
-  if (tuning_.heartbeat_timeout <= 0.0) return;
-  Peer* peer = find_peer(peer_endpoint);
-  if (peer == nullptr) return;
-  if (peer->hb_timer != 0) env()->cancel_timer(peer->hb_timer);
-  peer->hb_timer = env()->post_after_as(
-      endpoint(), tuning_.heartbeat_timeout, [this, peer_endpoint]() {
-        if (failed_) return;
-        Peer* p = find_peer(peer_endpoint);
-        if (p == nullptr || !p->alive) return;
-        p->alive = false;
-        p->hb_timer = 0;
-        ++peer_stats_.evictions;
-        GC_WARN << "agent " << name_ << ": no heartbeat from peer MA "
-                << (p->name.empty() ? "(unannounced)" : p->name) << " for "
-                << tuning_.heartbeat_timeout << "s, ejecting the shard";
-        if (obs::tracing()) {
-          obs::Tracer::instance().instant(env()->now(), "peer-dead:" + p->name,
-                                          "agent:" + name_, 0);
-        }
-        if (obs::metrics_on()) {
-          obs::Metrics::instance()
-              .counter("diet_federation_peer_evictions_total",
-                       {{"agent", name_}})
-              .inc();
-        }
-      });
+void Agent::on_peer_dead(Peer& peer) {
+  ++peer_stats_.evictions;
+  GC_WARN << "agent " << name_ << ": no heartbeat from peer MA "
+          << (peer.name.empty() ? "(unannounced)" : peer.name) << " for "
+          << tuning_.heartbeat_timeout << "s, ejecting the shard";
+  trace_instant("peer-dead:" + peer.name);
+  count("diet_federation_peer_evictions_total");
 }
 
 void Agent::announce_to_peers() {
@@ -167,7 +133,7 @@ void Agent::announce_to_peers() {
 void Agent::handle_peer_announce(const net::Envelope& envelope) {
   GC_CHECK_MSG(kind_ == Kind::kMaster, "peer announces go MA to MA");
   const PeerAnnounceMsg msg = PeerAnnounceMsg::decode(envelope.payload);
-  Peer* peer = find_peer(envelope.from);
+  Peer* peer = find_record(peers_, envelope.from);
   if (peer == nullptr) {
     // The peer announced before our own connect_peer() ran (federation
     // wiring is symmetric but not atomic); learn it now.
@@ -175,7 +141,7 @@ void Agent::handle_peer_announce(const net::Envelope& envelope) {
     p.endpoint = envelope.from;
     peers_.push_back(std::move(p));
     peer = &peers_.back();
-    arm_peer_deadline(envelope.from);
+    peer_watch_.arm(*peer);
   }
   peer->uid = msg.ma_uid;
   peer->name = msg.name;
@@ -183,86 +149,42 @@ void Agent::handle_peer_announce(const net::Envelope& envelope) {
   peer->services.insert(msg.services.begin(), msg.services.end());
 }
 
-Agent::Child* Agent::find_child(net::Endpoint endpoint) {
-  for (auto& child : children_) {
-    if (child.endpoint == endpoint) return &child;
+void Agent::on_child_dead(Child& child) {
+  ++heartbeat_evictions_;
+  GC_WARN << "agent " << name_ << ": no heartbeat from " << child.name
+          << " for " << tuning_.heartbeat_timeout << "s, marking it dead";
+  // A dead SED's replicas are unreachable: drop them so locate answers and
+  // locality pricing never point at it. (A dead LA's SEDs are still alive
+  // and directly reachable — keep theirs.) Mutation seam
+  // kKeepReplicasOnEviction re-introduces the leak where eviction forgot
+  // this cleanup.
+  if (child.is_sed &&
+      !check::mutation_enabled(check::Mutation::kKeepReplicasOnEviction)) {
+    drop_sed_replicas(child.sed_uid);
   }
-  return nullptr;
+  trace_instant("hb-dead:" + child.name);
+  count("diet_agent_hb_evictions_total");
 }
 
-void Agent::arm_child_deadline(net::Endpoint child_endpoint) {
-  if (tuning_.heartbeat_timeout <= 0.0) return;
-  Child* child = find_child(child_endpoint);
-  if (child == nullptr) return;
-  if (child->hb_timer != 0) env()->cancel_timer(child->hb_timer);
-  child->hb_timer =
-      env()->post_after_as(endpoint(), tuning_.heartbeat_timeout, [this, child_endpoint]() {
-        if (failed_) return;
-        // The endpoint is the child's identity at arm time: if it
-        // re-registered since (crash-restart), this deadline is stale.
-        Child* c = find_child(child_endpoint);
-        if (c == nullptr || !c->alive) return;
-        c->alive = false;
-        c->hb_timer = 0;
-        ++heartbeat_evictions_;
-        GC_WARN << "agent " << name_ << ": no heartbeat from " << c->name
-                << " for " << tuning_.heartbeat_timeout
-                << "s, marking it dead";
-        // A dead SED's replicas are unreachable: drop them so locate
-        // answers and locality pricing never point at it. (A dead LA's
-        // SEDs are still alive and directly reachable — keep theirs.)
-        // Mutation seam kKeepReplicasOnEviction re-introduces the leak
-        // where eviction forgot this cleanup.
-        if (c->is_sed &&
-            !check::mutation_enabled(
-                check::Mutation::kKeepReplicasOnEviction)) {
-          drop_sed_replicas(c->sed_uid);
-        }
-        if (obs::tracing()) {
-          obs::Tracer::instance().instant(env()->now(), "hb-dead:" + c->name,
-                                          "agent:" + name_, 0);
-        }
-        if (obs::metrics_on()) {
-          obs::Metrics::instance()
-              .counter("diet_agent_hb_evictions_total", {{"agent", name_}})
-              .inc();
-        }
-      });
+void Agent::trace_instant(const std::string& what) {
+  if (obs::tracing()) {
+    obs::Tracer::instance().instant(env()->now(), what, "agent:" + name_, 0);
+  }
+}
+
+void Agent::count(const char* counter, std::uint64_t n) {
+  if (obs::metrics_on()) {
+    obs::Metrics::instance().counter(counter, {{"agent", name_}}).inc(n);
+  }
 }
 
 void Agent::handle_heartbeat(const net::Envelope& envelope) {
-  Child* child = find_child(envelope.from);
-  if (child == nullptr) {
-    // Not a child: maybe a peer MA's federation beacon.
-    Peer* peer = find_peer(envelope.from);
-    if (peer == nullptr) return;  // from an evicted or unknown sender
-    if (!peer->alive) {
-      peer->alive = true;
-      GC_WARN << "agent " << name_ << ": heartbeat from ejected peer MA "
-              << peer->name << ", re-admitting the shard";
-      if (obs::tracing()) {
-        obs::Tracer::instance().instant(env()->now(),
-                                        "peer-revive:" + peer->name,
-                                        "agent:" + name_, 0);
-      }
-    }
-    arm_peer_deadline(envelope.from);
-    return;
-  }
-  if (!child->alive) {
-    // A heartbeat from a dead-marked child heals it: either the beacons
-    // were merely dropped, or the partition around it ended.
-    child->alive = true;
-    GC_WARN << "agent " << name_ << ": heartbeat from dead-marked "
-            << child->name << ", reviving it";
-    if (obs::tracing()) {
-      obs::Tracer::instance().instant(env()->now(),
-                                      "hb-revive:" + child->name,
-                                      "agent:" + name_, 0);
-    }
-  }
-  child->consecutive_timeouts = 0;
-  arm_child_deadline(envelope.from);
+  if (Child* child = find_record(children_, envelope.from)) {
+    child->consecutive_timeouts = 0;
+    child_watch_.beat(*child);
+  } else if (Peer* peer = find_record(peers_, envelope.from)) {
+    peer_watch_.beat(*peer);  // a peer MA's federation beacon
+  }  // else: from an evicted or unknown sender
 }
 
 void Agent::propagate_services() {
@@ -349,8 +271,6 @@ void Agent::on_message(const net::Envelope& envelope) {
     case dtm::kDataStripe:
       handle_data_stripe(envelope);
       break;
-    case kLoadReport:
-      break;  // monitoring data; agents store nothing extra in this repo
     case kRegisterAck:
       break;
     default:
@@ -368,13 +288,9 @@ void Agent::handle_sed_register(const net::Envelope& envelope) {
   // existing child (keyed by name) instead of growing a doppelganger.
   for (auto& existing : children_) {
     if (existing.is_sed && existing.name == msg.name) {
-      if (existing.hb_timer != 0) {
-        env()->cancel_timer(existing.hb_timer);
-        existing.hb_timer = 0;
-      }
       existing.endpoint = envelope.from;
       existing.sed_uid = msg.sed_uid;
-      existing.alive = true;
+      existing.live.alive = true;
       existing.consecutive_timeouts = 0;
       // A re-registration means the SED restarted: its in-memory data
       // store is gone, so every replica the catalog still credits it
@@ -386,7 +302,7 @@ void Agent::handle_sed_register(const net::Envelope& envelope) {
       }
       env()->send(
           net::Envelope{endpoint(), envelope.from, kRegisterAck, {}, 0});
-      arm_child_deadline(envelope.from);
+      child_watch_.arm(existing);
       propagate_services();
       return;
     }
@@ -402,7 +318,7 @@ void Agent::handle_sed_register(const net::Envelope& envelope) {
   }
   children_.push_back(std::move(child));
   env()->send(net::Envelope{endpoint(), envelope.from, kRegisterAck, {}, 0});
-  arm_child_deadline(envelope.from);
+  child_watch_.arm(children_.back());
   propagate_services();
 }
 
@@ -410,13 +326,11 @@ void Agent::handle_agent_register(const net::Envelope& envelope) {
   const AgentRegisterMsg msg = AgentRegisterMsg::decode(envelope.payload);
   if (obs::journal_on()) obs::Journal::instance().note_edge(msg.name, name_);
   // An LA re-registers whenever its service list grows; update in place.
-  for (auto& child : children_) {
-    if (child.endpoint == envelope.from) {
-      child.services.insert(msg.services.begin(), msg.services.end());
-      services_.insert(msg.services.begin(), msg.services.end());
-      propagate_services();
-      return;
-    }
+  if (Child* existing = find_record(children_, envelope.from)) {
+    existing->services.insert(msg.services.begin(), msg.services.end());
+    services_.insert(msg.services.begin(), msg.services.end());
+    propagate_services();
+    return;
   }
   Child child;
   child.endpoint = envelope.from;
@@ -426,7 +340,7 @@ void Agent::handle_agent_register(const net::Envelope& envelope) {
   services_.insert(msg.services.begin(), msg.services.end());
   children_.push_back(std::move(child));
   env()->send(net::Envelope{endpoint(), envelope.from, kRegisterAck, {}, 0});
-  arm_child_deadline(envelope.from);
+  child_watch_.arm(children_.back());
   propagate_services();
 }
 
@@ -492,7 +406,7 @@ void Agent::start_collect(std::uint64_t key, Pending pending,
                           const RequestCollectMsg& msg) {
   std::vector<net::Endpoint> targets;
   for (const auto& child : children_) {
-    if (!child.alive) continue;  // heartbeat watchdog marked it dead
+    if (!child.live.alive) continue;  // heartbeat watchdog marked it dead
     if (child.services.count(pending.service) > 0) {
       targets.push_back(child.endpoint);
     }
@@ -504,7 +418,7 @@ void Agent::start_collect(std::uint64_t key, Pending pending,
   if (kind_ == Kind::kMaster && !peers_.empty() && pending.peer_budget > 0 &&
       (tuning_.federate_always || targets.empty())) {
     for (const auto& peer : peers_) {
-      if (!peer.alive) continue;  // ejected shard
+      if (!peer.live.alive) continue;  // ejected shard
       if (peer.uid == pending.origin_uid) continue;  // never back to origin
       if (peer.endpoint == pending.reply_to) continue;  // nor to the asker
       if (peer.services.count(pending.service) == 0) continue;
@@ -518,11 +432,7 @@ void Agent::start_collect(std::uint64_t key, Pending pending,
         env()->now(), "collect:" + pending.service, "agent:" + name_,
         pending.trace_id);
   }
-  if (obs::metrics_on()) {
-    obs::Metrics::instance()
-        .counter("diet_agent_requests_total", {{"agent", name_}})
-        .inc();
-  }
+  count("diet_agent_requests_total");
   const obs::TraceId trace_id = pending.trace_id;
   auto [it, inserted] = pending_.emplace(key, std::move(pending));
   if (!inserted) {
@@ -566,16 +476,9 @@ void Agent::start_collect(std::uint64_t key, Pending pending,
       [this, key, forwarded, peer_forwarded, targets, peer_targets, budget,
        trace_id]() {
         if (failed_) return;
-        if (obs::metrics_on()) {
-          obs::Metrics::instance()
-              .counter("diet_agent_forwards_total", {{"agent", name_}})
-              .inc(targets.size());
-          if (!peer_targets.empty()) {
-            obs::Metrics::instance()
-                .counter("diet_federation_forwards_total",
-                         {{"agent", name_}})
-                .inc(peer_targets.size());
-          }
+        count("diet_agent_forwards_total", targets.size());
+        if (!peer_targets.empty()) {
+          count("diet_federation_forwards_total", peer_targets.size());
         }
         for (const net::Endpoint target : targets) {
           env()->send(net::Envelope{endpoint(), target, kRequestCollect,
@@ -858,7 +761,7 @@ void Agent::handle_data_register(const net::Envelope& envelope) {
       // the deterministic schedule.
       for (const auto& child : children_) {
         if (wanted <= 0) break;
-        if (!child.is_sed || !child.alive) continue;
+        if (!child.is_sed || !child.live.alive) continue;
         if (child.sed_uid == msg.holder.sed_uid) continue;
         if (catalog_.holds(msg.data_id, child.sed_uid)) continue;
         dtm::DataReplicateMsg rep;
@@ -929,7 +832,7 @@ void Agent::handle_data_locate(const net::Envelope& envelope) {
     const net::Bytes payload = forwarded.encode();
     bool asked_any = false;
     for (const auto& peer : peers_) {
-      if (!peer.alive) continue;
+      if (!peer.live.alive) continue;
       env()->send(net::Envelope{endpoint(), peer.endpoint, dtm::kDataLocate,
                                 payload, 0, envelope.trace_id});
       asked_any = true;
@@ -1002,9 +905,9 @@ void Agent::handle_job_done(const net::Envelope& envelope) {
     // MA that hears a done from its own hierarchy relays it to every peer
     // (each decrements its own outstanding_ if it ever assigned that SED);
     // a relayed done — sender is a peer — is never re-relayed.
-    if (!peers_.empty() && find_peer(envelope.from) == nullptr) {
+    if (!peers_.empty() && find_record(peers_, envelope.from) == nullptr) {
       for (const auto& peer : peers_) {
-        if (!peer.alive) continue;
+        if (!peer.live.alive) continue;
         env()->send(net::Envelope{endpoint(), peer.endpoint, kJobDone,
                                   envelope.payload, 0, envelope.trace_id});
       }

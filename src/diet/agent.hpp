@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "diet/liveness.hpp"
 #include "diet/protocol.hpp"
 #include "dtm/catalog.hpp"
 #include "dtm/messages.hpp"
@@ -151,8 +152,7 @@ class Agent final : public net::Actor {
     std::uint64_t sed_uid = 0;   ///< 0 for LA children
     std::set<std::string> services;
     int consecutive_timeouts = 0;
-    bool alive = true;           ///< false = heartbeat watchdog fired
-    net::TimerId hb_timer = 0;   ///< pending heartbeat deadline
+    LivenessEntry live;          ///< heartbeat watchdog state
   };
 
   /// A peer MA in the federation. Unlike children, peers are equals: they
@@ -163,8 +163,7 @@ class Agent final : public net::Actor {
     std::uint32_t uid = 0;  ///< 0 until its announce arrives
     std::string name;
     std::set<std::string> services;
-    bool alive = true;
-    net::TimerId hb_timer = 0;
+    LivenessEntry live;
   };
 
   struct Pending {
@@ -213,16 +212,12 @@ class Agent final : public net::Actor {
   /// agent's catalog (bytes that must move + modeled transfer time).
   void fill_locality(Pending& pending);
   void update_catalog_gauge();
-  [[nodiscard]] Child* find_child(net::Endpoint endpoint);
-  [[nodiscard]] Peer* find_peer(net::Endpoint endpoint);
-  /// (Re)arms the heartbeat deadline for one child.
-  void arm_child_deadline(net::Endpoint child_endpoint);
-  void arm_heartbeat();
-  /// (Re)arms the shard-ejection deadline for one peer MA.
-  void arm_peer_deadline(net::Endpoint peer_endpoint);
-  /// Periodic liveness beacons to every peer MA (armed once, on the first
-  /// connect_peer, when a heartbeat period is configured).
-  void arm_peer_beat();
+  /// Watchdog hooks: a child or peer MA went silent past the timeout.
+  void on_child_dead(Child& child);
+  void on_peer_dead(Peer& peer);
+  void trace_instant(const std::string& what);
+  /// Adds `n` to this agent's `counter` when metrics are on.
+  void count(const char* counter, std::uint64_t n = 1);
   void announce_to_peers();
   /// Shared tail of handle_candidates / handle_peer_candidates: merge one
   /// answer into the pending collect and finalize when all arrived.
@@ -279,9 +274,14 @@ class Agent final : public net::Actor {
   /// does not fan out (and skew the assignment bookkeeping) twice.
   std::set<std::pair<net::Endpoint, std::uint64_t>> seen_submits_;
   std::uint64_t heartbeat_evictions_ = 0;
+  /// Numbers the beacons to the parent (LA) and to peer MAs alike.
   std::uint64_t heartbeat_seq_ = 0;
-  std::uint64_t epoch_ = 0;  ///< bumped by fail()/shutdown(); kills loops
+  std::uint64_t epoch_ = 0;  ///< bumped by fail()/shutdown(); kills beacons
   bool failed_ = false;
+  /// Heartbeat deadlines: children are marked dead (skipped by collects),
+  /// peer MAs ejected (their shard skipped by forwarding).
+  Watchdog<Child> child_watch_;
+  Watchdog<Peer> peer_watch_;
 };
 
 }  // namespace gc::diet

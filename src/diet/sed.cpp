@@ -5,6 +5,7 @@
 
 #include "check/mutation.hpp"
 #include "common/log.hpp"
+#include "diet/liveness.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 
@@ -97,38 +98,12 @@ void Sed::register_at(net::Endpoint parent) {
     msg.services.push_back(services_.find_by_path(path)->desc);
   }
   env()->send(net::Envelope{endpoint(), parent, kSedRegister, msg.encode(), 0});
-  if (tuning_.load_report_period > 0.0) arm_load_report();
-  if (tuning_.heartbeat_period > 0.0) arm_heartbeat();
-}
-
-void Sed::arm_load_report() {
-  // Each periodic loop is pinned to the epoch that armed it; fail() and
-  // shutdown() bump the epoch, so a stale iteration dies instead of
-  // running alongside the chain a restart armed.
-  const std::uint64_t epoch = epoch_;
-  env()->post_after_as(endpoint(), tuning_.load_report_period, [this, epoch]() {
-    if (epoch != epoch_ || failed_ || parent_ == net::kNullEndpoint) return;
-    LoadReportMsg report;
-    report.sed_uid = uid_;
-    report.queue_length = static_cast<double>(queue_length());
-    report.queued_work_s = queued_work_s_;
-    report.jobs_completed = completed_;
-    env()->send(
-        net::Envelope{endpoint(), parent_, kLoadReport, report.encode(), 0});
-    arm_load_report();
-  });
-}
-
-void Sed::arm_heartbeat() {
-  const std::uint64_t epoch = epoch_;
-  env()->post_after_as(endpoint(), tuning_.heartbeat_period, [this, epoch]() {
-    if (epoch != epoch_ || failed_ || parent_ == net::kNullEndpoint) return;
+  start_beacon(*this, tuning_.heartbeat_period, epoch_, [this]() {
     HeartbeatMsg beat;
     beat.uid = uid_;
     beat.seq = ++heartbeat_seq_;
     env()->send(
         net::Envelope{endpoint(), parent_, kHeartbeat, beat.encode(), 0});
-    arm_heartbeat();
   });
 }
 

@@ -54,10 +54,6 @@ struct SedTuning {
   double delay_noise_cv = 0.06;
   /// Concurrent jobs this SED may run (the paper's deployment: 1).
   int concurrency = 1;
-  /// Period of unsolicited load reports to the parent LA ("answer to
-  /// monitoring queries from its responsible Local Agent", Section 2.2).
-  /// 0 disables them.
-  double load_report_period = 0.0;
   /// Byte budget of the persistent data store (DIET's DTM); 0 = unbounded.
   std::int64_t data_store_max_bytes = 0;
   /// Desired total replica count for data stored here: >1 asks the parent
@@ -66,8 +62,10 @@ struct SedTuning {
   /// How long a blocked call waits for a peer-to-peer fetch before giving
   /// up and answering kMissingDataStatus (client full-resend fallback).
   double data_fetch_timeout_s = 10.0;
-  /// Period of liveness heartbeats to the parent agent; 0 disables them
-  /// (the default, so fault-free runs send no extra messages).
+  /// Period of liveness heartbeats to the parent agent, which watches for
+  /// them ("monitored by its responsible Local Agent", Section 2.2); 0
+  /// disables them (the default, so fault-free runs send no extra
+  /// messages).
   double heartbeat_period = 0.0;
   /// MPWide-style WAN transfer engine for bulk dtm pushes (striping,
   /// relay, compression). Defaults are the classic single-stream push.
@@ -91,8 +89,7 @@ class Sed final : public net::Actor {
       double host_power, int machines, SedTuning tuning, std::uint64_t seed);
 
   /// Announces this SED and its service table to a parent agent
-  /// (diet_SeD's registration step) and starts periodic load reports when
-  /// configured.
+  /// (diet_SeD's registration step) and starts heartbeats when configured.
   void register_at(net::Endpoint parent);
 
   /// Marks this SED dead: it stops answering estimation requests, drops
@@ -109,9 +106,9 @@ class Sed final : public net::Actor {
   /// retried calls at-most-once-executed across a crash-restart.
   void restart();
 
-  /// Stops the periodic loops (heartbeats, load reports) without failing
-  /// the SED. RealEnv tests call this before Env::stop(), which waits for
-  /// an empty queue and would otherwise never see one.
+  /// Stops the heartbeat loop without failing the SED. RealEnv tests call
+  /// this before Env::stop(), which waits for an empty queue and would
+  /// otherwise never see one.
   void shutdown();
 
   void on_message(const net::Envelope& envelope) override;
@@ -204,8 +201,6 @@ class Sed final : public net::Actor {
   /// the client falls back to a full-data resend.
   void fail_fetch(const std::string& id);
   void start_next();
-  void arm_load_report();
-  void arm_heartbeat();
   [[nodiscard]] sched::Estimation make_estimation(const ProfileDesc& request);
   [[nodiscard]] double noisy(double base);
 

@@ -6,8 +6,6 @@
 
 #include "common/rng.hpp"
 #include "des/engine.hpp"
-#include "des/link.hpp"
-#include "des/resource.hpp"
 
 namespace gc::des {
 namespace {
@@ -168,87 +166,6 @@ TEST_P(EngineRandomized, AlwaysMonotonicTime) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineRandomized,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
-
-// ---------- Resource ----------
-
-TEST(Resource, GrantsUpToCapacity) {
-  Engine engine;
-  Resource resource(engine, 2);
-  int granted = 0;
-  for (int i = 0; i < 5; ++i) {
-    resource.acquire([&] { ++granted; });
-  }
-  engine.run();
-  EXPECT_EQ(granted, 2);
-  EXPECT_EQ(resource.in_use(), 2u);
-  EXPECT_EQ(resource.waiting(), 3u);
-}
-
-TEST(Resource, ReleaseWakesFifo) {
-  Engine engine;
-  Resource resource(engine, 1);
-  std::vector<int> order;
-  for (int i = 0; i < 3; ++i) {
-    resource.acquire([&order, &resource, &engine, i] {
-      order.push_back(i);
-      engine.schedule_after(1.0, [&resource] { resource.release(); });
-    });
-  }
-  engine.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(resource.in_use(), 0u);
-}
-
-TEST(Resource, CapacityAccessor) {
-  Engine engine;
-  Resource resource(engine, 3);
-  EXPECT_EQ(resource.capacity(), 3u);
-}
-
-// ---------- Link ----------
-
-TEST(Link, DelayOnlyTransferTime) {
-  Engine engine;
-  Link link(engine, 0.010, 1e6);  // 10ms, 1 MB/s
-  double arrived = -1.0;
-  link.transfer(1000, [&] { arrived = engine.now(); });
-  engine.run();
-  EXPECT_NEAR(arrived, 0.011, 1e-12);
-  EXPECT_EQ(link.transfers(), 1u);
-  EXPECT_EQ(link.bytes_carried(), 1000);
-}
-
-TEST(Link, DelayOnlyTransfersOverlap) {
-  Engine engine;
-  Link link(engine, 0.010, 1e6);
-  std::vector<double> arrivals;
-  for (int i = 0; i < 3; ++i) {
-    link.transfer(1000, [&] { arrivals.push_back(engine.now()); });
-  }
-  engine.run();
-  ASSERT_EQ(arrivals.size(), 3u);
-  for (const double t : arrivals) EXPECT_NEAR(t, 0.011, 1e-12);
-}
-
-TEST(Link, SerializedTransfersQueue) {
-  Engine engine;
-  Link link(engine, 0.0, 1e6, LinkMode::kSerialized);
-  std::vector<double> arrivals;
-  for (int i = 0; i < 3; ++i) {
-    link.transfer(1000000, [&] { arrivals.push_back(engine.now()); });
-  }
-  engine.run();
-  ASSERT_EQ(arrivals.size(), 3u);
-  EXPECT_NEAR(arrivals[0], 1.0, 1e-9);
-  EXPECT_NEAR(arrivals[1], 2.0, 1e-9);
-  EXPECT_NEAR(arrivals[2], 3.0, 1e-9);
-}
-
-TEST(Link, TransferTimeQuery) {
-  Engine engine;
-  Link link(engine, 0.020, gbit_per_s(1.0));
-  EXPECT_NEAR(link.transfer_time(125000000), 0.020 + 1.0, 1e-9);
-}
 
 }  // namespace
 }  // namespace gc::des

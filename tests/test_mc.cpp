@@ -3,14 +3,15 @@
 // Three kinds of evidence that src/mc does what it claims:
 //  - clean scenarios are explored exhaustively (and the sleep-set
 //    reduction beats naive enumeration by the margin the DESIGN.md
-//    section advertises), with stable schedule counts as a regression
-//    bound on both the scenarios and the reduction;
+//    section advertises), with exact schedule counts as a regression
+//    referee on both the scenarios and the reduction;
 //  - each mutation seam (check/mutation.hpp) re-introduces a known-fixed
 //    ordering bug, and the explorer finds it and produces a
 //    counterexample that replay() reproduces deterministically;
 //  - the trace codec round-trips and replay is bit-stable.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -61,13 +62,34 @@ TEST(McSmoke, SleepSetsPruneAtLeastTenfold) {
       << " dpor=" << reduced.schedules_explored;
 }
 
-TEST(McSmoke, FaultScenariosExploreClean) {
-  for (const char* name :
-       {"small_dup", "small_drop", "crash_heal", "federation_crash"}) {
-    const mc::Result result = mc::explore(scenario(name).fn);
-    EXPECT_TRUE(result.complete) << name;
+// Exact schedule counts per scenario: the regression referee for any
+// change to the DIET actors or the DES scheduler seam. Growing a count
+// means new nondeterminism leaked into a scenario (or ownership
+// attribution regressed); shrinking it means coverage silently narrowed.
+// A deliberate change to a scenario's behaviour re-measures its row with
+// mc_explore and says why in the change description.
+struct ExpectedCounts {
+  const char* name;
+  std::uint64_t explored;
+  std::uint64_t executions;
+};
+
+TEST(McSmoke, ScenariosExploreCleanWithPinnedCounts) {
+  for (const ExpectedCounts& want : {
+           ExpectedCounts{"small", 16, 34},
+           ExpectedCounts{"small_dup", 8, 14},
+           ExpectedCounts{"small_drop", 8, 22},
+           ExpectedCounts{"crash_heal", 8, 22},
+           ExpectedCounts{"federation_crash", 2, 68},
+           ExpectedCounts{"hierarchy", 4096, 9420},
+           ExpectedCounts{"wan_race", 2304, 4698},
+       }) {
+    const mc::Result result = mc::explore(scenario(want.name).fn);
+    EXPECT_TRUE(result.complete) << want.name;
     EXPECT_FALSE(result.violation_found)
-        << name << ": " << result.violation.what;
+        << want.name << ": " << result.violation.what;
+    EXPECT_EQ(result.schedules_explored, want.explored) << want.name;
+    EXPECT_EQ(result.executions, want.executions) << want.name;
   }
 }
 
