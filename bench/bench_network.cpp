@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
         base(gc::diet::Persistence::kPersistent, "default", 1);
     config.wan_bandwidth_scale = 1.0;
     config.wan_per_stream_bps = per_stream_bps;
-    config.wan_streams = stream_counts[i];
+    config.sed_tuning.wan.streams = stream_counts[i];
     striped[i] = run(config);
     const char* label = i == 0 ? "lossy WAN, 1 stream" : "lossy WAN, 4 streams";
     print_row(label, striped[i]);

@@ -116,6 +116,23 @@ PY
 DN=$(./build/examples/zoom_campaign --subsims 22 --digest | grep 'science digest')
 [[ "${DN#*: }" == "f4a58abe6945215d" ]]
 echo "contention-off campaign digest pinned (${DN#*: })"
+# Whole-stdout pins (sha256 prefix) of three fault-free campaigns: the
+# paper's default run, the 22-sub-sim run, and a congested persistent run
+# whose pulls stripe over 4 WAN streams (96 flows against 33 with one).
+while read -r want args; do
+  # shellcheck disable=SC2086  # $args is a flag list, split on purpose
+  got=$(./build/examples/zoom_campaign $args 2>/dev/null \
+          | sha256sum | cut -c1-16)
+  if [[ "$got" != "$want" ]]; then
+    echo "zoom_campaign ${args:-(defaults)}: stdout $got, pinned $want"
+    exit 1
+  fi
+done <<'PINS'
+183148c006745a35
+7ef59114c47c9370 --subsims 22 --digest
+4a1e440416735eb4 --subsims 22 --contention --persistence persistent --policy mct-data --replicas 2 --wan-scale 0.02 --wan-streams 4 --wan-per-stream 1e7 --digest
+PINS
+echo "3 fault-free campaign stdouts byte-identical to their pins"
 
 step "serving smoke (bench_serving --quick + federated digest gate)"
 # Same tripwire philosophy as bench-smoke: the quick sweep sustains ~400

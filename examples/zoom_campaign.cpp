@@ -48,8 +48,7 @@
 // narrows the RENATER backbone, --wan-streams K (GC_WAN_STREAMS) stripes
 // bulk dtm pushes over K parallel streams, --wan-per-stream B caps each
 // stream at B bytes/s (the lossy-WAN TCP ceiling striping exists to
-// beat), --wan-relay routes stripes through the requester's LA. See
-// DESIGN.md, "Network & disk model".
+// beat). See DESIGN.md, "Network & disk model".
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -138,7 +137,7 @@ int main(int argc, char** argv) {
   if (const char* env_s = std::getenv("GC_WAN_STREAMS")) {
     streams_default = std::atol(env_s);
   }
-  config.wan_streams =
+  config.sed_tuning.wan.streams =
       static_cast<int>(args.get_int("wan-streams", streams_default));
   double wan_scale_default = 1.0;
   if (const char* env_ws = std::getenv("GC_WAN_SCALE")) {
@@ -146,9 +145,6 @@ int main(int argc, char** argv) {
   }
   config.wan_bandwidth_scale = args.get_double("wan-scale", wan_scale_default);
   config.wan_per_stream_bps = args.get_double("wan-per-stream", 0.0);
-  config.wan_relay = args.has("wan-relay");
-  config.wan_compression = args.get_double("wan-compression", 0.0);
-  config.wan_compress_bps = args.get_double("wan-compress-bps", 0.0);
 
   std::printf("zoom campaign: %d sub-simulations of %d^3 particles, "
               "%d nested boxes, policy '%s', %d machines/SED\n\n",
@@ -196,8 +192,8 @@ int main(int argc, char** argv) {
                 "concurrent), wan x%.2f, %d stream%s\n",
                 static_cast<unsigned long long>(result.flows_completed),
                 static_cast<unsigned long long>(result.peak_active_flows),
-                config.wan_bandwidth_scale, config.wan_streams,
-                config.wan_streams == 1 ? "" : "s");
+                config.wan_bandwidth_scale, config.sed_tuning.wan.streams,
+                config.sed_tuning.wan.streams == 1 ? "" : "s");
   }
   // Printed only under --persistence so the default report stays
   // byte-identical to the pre-DTM harness.

@@ -17,6 +17,11 @@
 
 namespace gc::check {
 
+/// The published 64-bit FNV-1a offset basis. Fnv's default start value
+/// differs from it (one digit short); hashes recorded from either start
+/// are pinned, so both stay.
+inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
+
 /// FNV-1a accumulator.
 struct Fnv {
   std::uint64_t h = 1469598103934665603ULL;

@@ -48,8 +48,6 @@ struct AgentTuning {
   /// Evict a child after this many *consecutive* collect timeouts, so a
   /// dead SED stops slowing every request down. 0 disables eviction.
   int max_child_timeouts = 2;
-  /// LA only: cap on candidates forwarded to the parent (0 = all).
-  std::size_t forward_limit = 0;
   /// Period of liveness beacons this agent (LA) sends to its parent;
   /// 0 disables them (the default — no extra traffic in fault-free runs).
   double heartbeat_period = 0.0;
@@ -204,7 +202,6 @@ class Agent final : public net::Actor {
   void handle_data_register(const net::Envelope& envelope);
   void handle_data_unregister(const net::Envelope& envelope);
   void handle_data_locate(const net::Envelope& envelope);
-  void handle_data_stripe(const net::Envelope& envelope);
   /// Drops every replica a (dead/restarted) SED held from this catalog
   /// and, when anything was dropped, tells the parent to do the same.
   void drop_sed_replicas(std::uint64_t sed_uid);

@@ -427,9 +427,6 @@ void Sed::handle_data_location(const net::Envelope& envelope) {
   dtm::DataPullMsg pull;
   pull.data_id = msg.data_id;
   pull.requester_uid = uid_;
-  if (tuning_.wan.relay && parent_ != net::kNullEndpoint) {
-    pull.relay_endpoint = parent_;  // stripes hop through our LA
-  }
   env()->send(net::Envelope{endpoint(), best->endpoint, dtm::kDataPull,
                             pull.encode(), 0, envelope.trace_id});
 }
@@ -484,24 +481,7 @@ void Sed::push_data(const dtm::DataPullMsg& msg, net::Endpoint requester,
   // others charge their slice purely through modeled_extra_bytes.
   const int streams = tuning_.wan.streams;
   const std::uint64_t transfer_id = (uid_ << 32) | ++stripe_counter_;
-  double compression = tuning_.wan.compression;
-  if (compression < 0.0) compression = 0.0;
-  if (compression >= 1.0) compression = 0.99;
-  std::int64_t wire_total = total;
-  if (compression > 0.0) {
-    wire_total = static_cast<std::int64_t>(static_cast<double>(total) *
-                                           (1.0 - compression));
-    // Stripe 0's physical payload still travels: never charge less.
-    wire_total = std::max<std::int64_t>(
-        wire_total, static_cast<std::int64_t>(stored->value.size()));
-  }
-  const net::Endpoint to =
-      (tuning_.wan.relay && msg.relay_endpoint != net::kNullEndpoint)
-          ? msg.relay_endpoint
-          : requester;
-  const std::int64_t share = wire_total / streams;
-  std::vector<net::Envelope> stripes;
-  stripes.reserve(static_cast<std::size_t>(streams));
+  const std::int64_t share = total / streams;
   for (int i = 0; i < streams; ++i) {
     dtm::DataStripeMsg stripe;
     stripe.transfer_id = transfer_id;
@@ -514,31 +494,16 @@ void Sed::push_data(const dtm::DataPullMsg& msg, net::Endpoint requester,
     std::int64_t stripe_bytes = share;
     std::int64_t extra = share;
     if (i == 0) {
-      stripe_bytes = wire_total - share * (streams - 1);  // + remainder
+      stripe_bytes = total - share * (streams - 1);  // + remainder
       stripe.value = stored->value;
       extra = std::max<std::int64_t>(
           0, stripe_bytes - static_cast<std::int64_t>(stored->value.size()));
     }
-    net::Envelope out{endpoint(), to, dtm::kDataStripe, stripe.encode(),
-                      extra, trace};
+    net::Envelope out{endpoint(), requester, dtm::kDataStripe,
+                      stripe.encode(), extra, trace};
     out.oob = true;  // parallel streams skip FIFO serialization
-    stripes.push_back(std::move(out));
+    env()->send(out);
   }
-  const double compress_s =
-      (compression > 0.0 && tuning_.wan.compress_bps > 0.0)
-          ? static_cast<double>(total) / tuning_.wan.compress_bps
-          : 0.0;
-  if (compress_s > 0.0) {
-    // Compression is sender-side CPU: the stripes leave after it.
-    const std::uint64_t epoch = epoch_;
-    env()->post_after(compress_s, [this, stripes = std::move(stripes),
-                                   epoch]() {
-      if (failed_ || epoch != epoch_) return;
-      for (const auto& out : stripes) env()->send(out);
-    });
-    return;
-  }
-  for (const auto& out : stripes) env()->send(out);
 }
 
 void Sed::handle_data_push(const net::Envelope& envelope) {
@@ -548,7 +513,6 @@ void Sed::handle_data_push(const net::Envelope& envelope) {
 }
 
 void Sed::handle_data_stripe(const net::Envelope& envelope) {
-  // Relay hops are handled by agents; a stripe reaching a SED is ours.
   const dtm::DataStripeMsg msg = dtm::DataStripeMsg::decode(envelope.payload);
   StripeAssembly& assembly = stripes_[msg.transfer_id];
   if (assembly.count == 0) assembly.count = msg.stripe_count;
@@ -560,22 +524,6 @@ void Sed::handle_data_stripe(const net::Envelope& envelope) {
   if (assembly.received < assembly.count) return;
   StripeAssembly done = std::move(assembly);
   stripes_.erase(msg.transfer_id);
-  const double inflate_s =
-      (tuning_.wan.compression > 0.0 && tuning_.wan.compress_bps > 0.0)
-          ? static_cast<double>(done.total_bytes) / tuning_.wan.compress_bps
-          : 0.0;
-  if (inflate_s > 0.0) {
-    // Decompression is receiver-side CPU before the value is usable.
-    const std::string data_id = msg.data_id;
-    const obs::TraceId trace = envelope.trace_id;
-    const std::uint64_t epoch = epoch_;
-    env()->post_after(inflate_s, [this, data_id, value = std::move(done.value),
-                                  total = done.total_bytes, trace, epoch]() {
-      if (failed_ || epoch != epoch_) return;
-      finish_fetch(data_id, true, value, total, trace);
-    });
-    return;
-  }
   finish_fetch(msg.data_id, true, done.value, done.total_bytes,
                envelope.trace_id);
 }
@@ -639,9 +587,6 @@ void Sed::handle_data_replicate(const net::Envelope& envelope) {
   dtm::DataPullMsg pull;
   pull.data_id = msg.data_id;
   pull.requester_uid = uid_;
-  if (tuning_.wan.relay && parent_ != net::kNullEndpoint) {
-    pull.relay_endpoint = parent_;
-  }
   env()->send(net::Envelope{endpoint(), msg.holder.endpoint, dtm::kDataPull,
                             pull.encode(), 0, envelope.trace_id});
 }

@@ -67,8 +67,8 @@ struct SedTuning {
   /// disables them (the default, so fault-free runs send no extra
   /// messages).
   double heartbeat_period = 0.0;
-  /// MPWide-style WAN transfer engine for bulk dtm pushes (striping,
-  /// relay, compression). Defaults are the classic single-stream push.
+  /// MPWide-style WAN transfer engine for bulk dtm pushes (striping).
+  /// Defaults are the classic single-stream push.
   dtm::WanTuning wan;
   /// Scratch directory for real service executions.
   std::string work_dir = "/tmp";
@@ -184,8 +184,7 @@ class Sed final : public net::Actor {
                     const net::Bytes& value, std::int64_t charged_bytes,
                     obs::TraceId trace);
   /// Ships `data_id` to `requester`: one classic push, or — when the WAN
-  /// engine says so — striped parallel out-of-band streams, optionally
-  /// relayed through the requester's parent agent.
+  /// engine says so — striped parallel out-of-band streams.
   void push_data(const dtm::DataPullMsg& msg, net::Endpoint requester,
                  obs::TraceId trace);
   /// Runs the admission tail (estimator, spans, queue) for a job whose

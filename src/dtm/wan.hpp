@@ -1,6 +1,6 @@
 // MPWide-style WAN transfer engine knobs (Groen et al.: striped parallel
-// TCP streams, store-and-forward relay hops, optional compression — the
-// techniques that kept the CosmoGrid simulations fed across continents).
+// TCP streams, the technique that kept the CosmoGrid simulations fed
+// across continents).
 //
 // Applied by SEDs to their bulk dtm pushes (pull replies and write-
 // replication). Striping only changes modeled time under the contention
@@ -21,14 +21,6 @@ struct WanTuning {
   int streams = 1;
   /// Transfers below this size never stripe (stripe overhead dominates).
   std::int64_t stripe_min_bytes = 1 << 20;
-  /// Route stripes through the requester's parent LA (store-and-forward
-  /// relay; hop pipelining across stripes) instead of SED-to-SED direct.
-  bool relay = false;
-  /// Modeled compression: fraction of bulk bytes shaved off the wire
-  /// (0 = off). Charged as CPU time at compress_bps before sending.
-  double compression = 0.0;
-  /// Compressor throughput in bytes/s; 0 = compression is free CPU-wise.
-  double compress_bps = 0.0;
 
   [[nodiscard]] bool striping(std::int64_t bytes) const {
     return streams > 1 && bytes >= stripe_min_bytes;

@@ -1,19 +1,17 @@
 #include "loadgen/serving.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <memory>
 #include <vector>
 
+#include "check/statehash.hpp"
 #include "common/log.hpp"
 #include "common/strings.hpp"
 #include "des/engine.hpp"
 #include "diet/client.hpp"
 #include "diet/deployment.hpp"
-#include "fault/injector.hpp"
-#include "fault/plan.hpp"
 #include "naming/registry.hpp"
 #include "net/simenv.hpp"
 #include "obs/journal.hpp"
@@ -22,29 +20,16 @@ namespace gc::loadgen {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv1a(h, &v, sizeof v);
-}
-
-std::uint64_t fnv_f64(std::uint64_t h, double v) {
-  return fnv_u64(h, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint64_t fnv_str(std::uint64_t h, const std::string& s) {
-  return fnv1a(h, s.data(), s.size());
-}
+/// Agent collect timeout. The 5s Agent default is sized for detecting
+/// dead children; under open-loop saturation a *live* peer MA's answer
+/// queues behind tens of virtual seconds of backlog, and timing it out
+/// fails the call. Sized for worst-case queueing delay instead.
+constexpr double kCollectTimeoutS = 120.0;
+/// Client-side deadline per call; generous because open-loop bursts
+/// queue on the MAs.
+constexpr double kCallDeadlineS = 3600.0;
+/// Modeled compute of every serving service.
+constexpr double kWorkSeconds = 0.05;
 
 /// The deterministic scalar input of client c's seq-th request.
 std::int64_t input_value(int client, int seq) {
@@ -152,9 +137,6 @@ ServingReport run_serving(const ServingConfig& config) {
   const auto wall_start = std::chrono::steady_clock::now();
   GC_CHECK_MSG(config.mas >= 1 && config.mas <= config.topology.pods,
                "mas must be in [1, pods]");
-  const auto plan_status = fault::parse_plan(config.fault_plan);
-  GC_CHECK_MSG(plan_status.is_ok(), plan_status.status().to_string());
-  const fault::FaultPlan plan = plan_status.value();
 
   LoadSpec load = config.load;
   if (load.profiles.empty()) load.profiles = default_mix();
@@ -166,14 +148,7 @@ ServingReport run_serving(const ServingConfig& config) {
   des::Engine engine;
   engine.set_tie_break_seed(config.tie_seed);
   net::SimEnv env(engine, fabric.platform);
-  if (config.contention) env.enable_contention();
   naming::Registry registry;
-
-  std::unique_ptr<fault::Injector> injector;
-  if (plan.active) {
-    injector = std::make_unique<fault::Injector>(plan, config.fault_seed);
-    env.set_fault_hook(injector.get());
-  }
 
   obs::Journal& journal = obs::Journal::instance();
   journal.clear();
@@ -185,12 +160,12 @@ ServingReport run_serving(const ServingConfig& config) {
   std::vector<diet::ServiceTable*> table_ptrs;
   for (int s = 0; s < config.mas; ++s) {
     auto table = std::make_unique<diet::ServiceTable>();
-    register_scalar_service(*table, "work", 2, 1, config.work_seconds);
-    register_store_service(*table, config.work_seconds);
+    register_scalar_service(*table, "work", 2, 1, kWorkSeconds);
+    register_store_service(*table, kWorkSeconds);
     for (int k = 0; k < 4; ++k) {
       if (k % config.mas == s) {
         register_scalar_service(*table, strformat("rare%d", k), 3, k,
-                                config.work_seconds);
+                                kWorkSeconds);
       }
     }
     table_ptrs.push_back(table.get());
@@ -198,19 +173,13 @@ ServingReport run_serving(const ServingConfig& config) {
   }
 
   // Shard specs: contiguous pod blocks, the shard's MA on its first pod's
-  // control node. SED nodes are collected shard-major so flat federation
-  // indexes (fault schedules) map back to nodes.
+  // control node.
   std::vector<diet::DeploymentSpec> shards(
       static_cast<std::size_t>(config.mas));
-  std::vector<net::NodeId> sed_nodes_flat;
   for (int s = 0; s < config.mas; ++s) {
     diet::DeploymentSpec& spec = shards[static_cast<std::size_t>(s)];
     spec.ma_name = strformat("MA%d", s + 1);
-    spec.policy = config.policy;
-    spec.agent_tuning.peer_ttl = config.peer_ttl;
-    spec.agent_tuning.peer_top_k = config.peer_top_k;
-    spec.agent_tuning.federate_always = config.federate_always;
-    spec.agent_tuning.collect_timeout = config.collect_timeout_s;
+    spec.agent_tuning.collect_timeout = kCollectTimeoutS;
     // Strike eviction piggybacks on collect timeouts; with a timeout this
     // long a strike means a genuinely dead subtree, so one is enough.
     spec.agent_tuning.max_child_timeouts = 1;
@@ -235,7 +204,6 @@ ServingReport run_serving(const ServingConfig& config) {
         sed.machines = config.topology.machines_per_sed;
         la.sed_indexes.push_back(static_cast<int>(spec.seds.size()));
         spec.seds.push_back(sed);
-        sed_nodes_flat.push_back(sed.node);
       }
       spec.las.push_back(std::move(la));
     }
@@ -246,19 +214,12 @@ ServingReport run_serving(const ServingConfig& config) {
 
   // Clients: client c lives on pod (c mod pods)'s frontal and talks to
   // that pod's shard MA. id_base (c+1)<<32 keeps call ids disjoint.
-  diet::Client::Tuning client_tuning;
-  if (plan.active) {
-    client_tuning.max_attempts = plan.max_attempts;
-    client_tuning.attempt_timeout_s = plan.attempt_timeout_s;
-    client_tuning.backoff_base_s = plan.backoff_base_s;
-    client_tuning.backoff_mult = plan.backoff_mult;
-  }
   std::vector<std::unique_ptr<diet::Client>> clients;
   clients.reserve(static_cast<std::size_t>(load.clients));
   for (int c = 0; c < load.clients; ++c) {
     const int pod = c % pods;
     auto client = std::make_unique<diet::Client>(
-        strformat("client-%05d", c), client_tuning,
+        strformat("client-%05d", c), diet::Client::Tuning{},
         static_cast<std::uint64_t>(c + 1) << 32);
     env.attach(*client, fabric.client_nodes[static_cast<std::size_t>(pod)]);
     client->connect(
@@ -277,48 +238,6 @@ ServingReport run_serving(const ServingConfig& config) {
     GC_CHECK_MSG(st.is_ok(), st.to_string());
   }
 
-  // The plan's process-fault schedule, mapped through the federation's
-  // flat SED/LA indexes (shard-major, like a single deployment's).
-  if (plan.active) {
-    const auto schedule = fault::materialize(
-        plan, static_cast<int>(federation.sed_count()),
-        static_cast<int>(federation.la_count()), config.fault_seed);
-    for (const fault::ProcessFault& f : schedule) {
-      const double delay = std::max(0.0, f.at_s - engine.now());
-      const auto index = static_cast<std::size_t>(f.index);
-      switch (f.kind) {
-        case fault::ProcessFault::Kind::kSedCrash:
-          env.post_after(delay, [&federation, index]() {
-            federation.sed(index).fail();
-          });
-          break;
-        case fault::ProcessFault::Kind::kSedRestart:
-          env.post_after(delay, [&federation, index]() {
-            federation.sed(index).restart();
-          });
-          break;
-        case fault::ProcessFault::Kind::kLaDeath:
-          env.post_after(delay, [&federation, index]() {
-            federation.la(index).fail();
-          });
-          break;
-        case fault::ProcessFault::Kind::kSedIsolate: {
-          const net::NodeId node = sed_nodes_flat.at(index);
-          env.post_after(delay, [&injector, node]() {
-            injector->isolate(node);
-          });
-          break;
-        }
-        case fault::ProcessFault::Kind::kSedHeal: {
-          const net::NodeId node = sed_nodes_flat.at(index);
-          env.post_after(delay,
-                         [&injector, node]() { injector->heal(node); });
-          break;
-        }
-      }
-    }
-  }
-
   ServingReport report;
   report.sed_count = federation.sed_count();
   report.arrivals = arrivals.size();
@@ -335,27 +254,26 @@ ServingReport run_serving(const ServingConfig& config) {
     const double delay = std::max(0.0, a.at_s - engine.now());
     env.post_after_as(
         client->endpoint(), delay,
-        [&report, client, &profile, a, deadline = config.call_deadline_s]() {
+        [&report, client, &profile, a]() {
           client->call_async(
               make_request(profile, a.client, a.seq),
               [&report](const gc::Status& status, diet::Profile& result) {
                 ++report.completed;
-                std::uint64_t h = kFnvOffset;
-                h = fnv_str(h, result.path());
-                h = fnv_u64(h, status.is_ok() ? 1 : 0);
+                check::Fnv h;
+                h.bytes(result.path().data(), result.path().size());
+                h.u64(status.is_ok() ? 1 : 0);
                 if (status.is_ok()) {
                   ++report.ok;
                   const auto out =
                       result.arg(1).get_scalar<std::int64_t>();
-                  h = fnv_u64(h, out.is_ok()
-                                     ? static_cast<std::uint64_t>(out.value())
-                                     : 0xdeadULL);
+                  h.u64(out.is_ok() ? static_cast<std::uint64_t>(out.value())
+                                    : 0xdeadULL);
                 } else {
                   ++report.failed;
                 }
-                report.science_digest ^= h;
+                report.science_digest ^= h.h;
               },
-              deadline);
+              kCallDeadlineS);
         });
   }
 
@@ -368,23 +286,25 @@ ServingReport run_serving(const ServingConfig& config) {
   double last_complete = -1.0;
   std::vector<double> latencies;
   latencies.reserve(report.ok);
-  std::uint64_t state = kFnvOffset;
+  // Strings are hashed as raw bytes (no length prefix), which is what the
+  // pinned digests were recorded with.
+  check::Fnv state;
   std::uint64_t call_digest = 0;
   for (const auto& client : clients) {
     for (const auto& rec : client->records()) {
-      state = fnv_u64(state, rec.id);
-      state = fnv_str(state, rec.service);
-      state = fnv_f64(state, rec.submitted);
-      state = fnv_f64(state, rec.found);
-      state = fnv_f64(state, rec.started);
-      state = fnv_f64(state, rec.completed);
-      state = fnv_u64(state, rec.sed_uid);
-      state = fnv_u64(state, rec.ok ? 1 : 0);
-      std::uint64_t h = kFnvOffset;
-      h = fnv_u64(h, rec.id);
-      h = fnv_str(h, rec.service);
-      h = fnv_u64(h, rec.ok ? 1 : 0);
-      call_digest ^= h;
+      state.u64(rec.id);
+      state.bytes(rec.service.data(), rec.service.size());
+      state.d(rec.submitted);
+      state.d(rec.found);
+      state.d(rec.started);
+      state.d(rec.completed);
+      state.u64(rec.sed_uid);
+      state.u64(rec.ok ? 1 : 0);
+      check::Fnv h;
+      h.u64(rec.id);
+      h.bytes(rec.service.data(), rec.service.size());
+      h.u64(rec.ok ? 1 : 0);
+      call_digest ^= h.h;
       if (first_submit < 0.0 || rec.submitted < first_submit) {
         first_submit = rec.submitted;
       }
@@ -413,7 +333,7 @@ ServingReport run_serving(const ServingConfig& config) {
     report.requests_per_sec =
         static_cast<double>(report.ok) / report.makespan_s;
   }
-  report.state_hash = state;
+  report.state_hash = state.h;
   report.events = engine.events_executed();
   for (std::size_t s = 0; s < federation.shard_count(); ++s) {
     const diet::Agent::PeerStats& stats = federation.ma(s).peer_stats();

@@ -12,7 +12,7 @@
 //   science_digest — order- and timing-independent hash of every call's
 //     (id, service, result) triple. Equal across 1/2/4-MA runs of the
 //     same plan: federation must not change *what* is computed.
-//   state_hash     — order-independent hash over full per-call records
+//   state_hash     — hash over full per-call records in client order,
 //     including virtual timestamps. Equal across two same-seed runs (and
 //     under tie-seed scrambles): the whole experiment is deterministic.
 #pragma once
@@ -38,25 +38,7 @@ struct ServingConfig {
   /// block's clusters forming one MA hierarchy. Must be in [1, pods].
   int mas = 1;
   LoadSpec load;
-  std::string policy = "default";
   std::uint64_t tie_seed = 0;
-  std::string fault_plan = "none";
-  std::uint64_t fault_seed = 1;
-  std::uint32_t peer_ttl = 1;
-  std::size_t peer_top_k = 4;
-  bool federate_always = false;
-  /// Agent collect timeout. The 5s Agent default is sized for detecting
-  /// dead children; under open-loop saturation a *live* peer MA's answer
-  /// queues behind tens of virtual seconds of backlog, and timing it out
-  /// fails the call. Size this for worst-case queueing delay instead.
-  double collect_timeout_s = 120.0;
-  /// Client-side deadline per call; generous because open-loop bursts
-  /// queue on the MAs.
-  double call_deadline_s = 3600.0;
-  double work_seconds = 0.05;  ///< modeled compute of the "work" service
-  /// Contention-aware network model: bulk transfers fair-share the fabric
-  /// links (net::FlowModel) instead of being priced on an idle network.
-  bool contention = false;
   /// Captures the per-request obs::Journal (cleared at start; jsonl
   /// returned in the report). Costs memory at 10^4+ requests.
   bool journal = true;

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 
+#include "check/statehash.hpp"
 #include "common/log.hpp"
 #include "common/stats.hpp"
 #include "des/engine.hpp"
@@ -30,18 +31,11 @@ using ScienceTuple = std::array<std::int64_t, 5>;
 /// scheduling, and which attempt of a retried call finally landed.
 std::uint64_t science_digest_of(std::vector<ScienceTuple> tuples) {
   std::sort(tuples.begin(), tuples.end());
-  std::uint64_t h = 14695981039346656037ULL;
-  auto mix = [&h](std::int64_t value) {
-    auto u = static_cast<std::uint64_t>(value);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (u >> (8 * i)) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
-  };
+  check::Fnv h{check::kFnvOffsetBasis};
   for (const ScienceTuple& tuple : tuples) {
-    for (std::int64_t value : tuple) mix(value);
+    for (std::int64_t value : tuple) h.i64(value);
   }
-  return h;
+  return h.h;
 }
 
 /// Splits a single-hierarchy spec into `mas` federation shards: LAs (and
@@ -77,40 +71,6 @@ std::vector<diet::DeploymentSpec> split_for_federation(
   }
   return shards;
 }
-
-/// The classic single hierarchy or an N-shard federation behind one
-/// surface, so the campaign body below is identical for both. N=1
-/// constructs exactly the pre-federation Deployment (byte-identical runs).
-struct CampaignHierarchy {
-  std::unique_ptr<diet::Deployment> single;
-  std::unique_ptr<diet::Federation> fed;
-  std::vector<net::NodeId> sed_nodes;  ///< flat order, for isolate/heal
-
-  [[nodiscard]] diet::Agent& ma() {
-    return single ? single->ma() : fed->ma(0);
-  }
-  [[nodiscard]] std::size_t sed_count() const {
-    return single ? single->sed_count() : fed->sed_count();
-  }
-  [[nodiscard]] diet::Sed& sed(std::size_t i) {
-    return single ? single->sed(i) : fed->sed(i);
-  }
-  [[nodiscard]] std::size_t la_count() const {
-    return single ? single->la_count() : fed->la_count();
-  }
-  [[nodiscard]] diet::Agent& la(std::size_t i) {
-    return single ? single->la(i) : fed->la(i);
-  }
-  /// Watchdog firings across every MA (one in the classic shape).
-  [[nodiscard]] std::uint64_t ma_heartbeat_evictions() const {
-    if (single) return single->ma().heartbeat_evictions();
-    std::uint64_t n = 0;
-    for (std::size_t s = 0; s < fed->shard_count(); ++s) {
-      n += fed->ma(s).heartbeat_evictions();
-    }
-    return n;
-  }
-};
 
 }  // namespace
 
@@ -169,14 +129,6 @@ CampaignResult run_grid5000_campaign(const CampaignConfig& config) {
   if (cfg.replicas > 1) {
     cfg.sed_tuning.replication_factor = cfg.replicas;
   }
-  // WAN-engine knobs reach the SEDs through their tuning; only non-default
-  // values are applied so a caller-set sed_tuning.wan survives.
-  if (cfg.wan_streams > 1) cfg.sed_tuning.wan.streams = cfg.wan_streams;
-  if (cfg.wan_relay) cfg.sed_tuning.wan.relay = true;
-  if (cfg.wan_compression > 0.0) {
-    cfg.sed_tuning.wan.compression = cfg.wan_compression;
-    cfg.sed_tuning.wan.compress_bps = cfg.wan_compress_bps;
-  }
 
   platform::G5kOptions g5k_options;
   g5k_options.wan_bandwidth_scale = cfg.wan_bandwidth_scale;
@@ -201,26 +153,19 @@ CampaignResult run_grid5000_campaign(const CampaignConfig& config) {
   diet::ServiceTable services;
   GC_CHECK(register_services(services, service_options).is_ok());
 
-  const diet::DeploymentSpec spec = deployment_spec_from_g5k(g5k, cfg);
-  CampaignHierarchy deployment;
+  // One MA is a one-shard federation of the unsplit spec: no peers, so
+  // it schedules exactly like a plain Deployment.
+  diet::DeploymentSpec spec = deployment_spec_from_g5k(g5k, cfg);
+  std::vector<diet::DeploymentSpec> shard_specs;
   if (cfg.federation_mas > 1) {
-    auto shard_specs = split_for_federation(spec, cfg.federation_mas);
-    for (const auto& shard : shard_specs) {
-      for (const auto& sed : shard.seds) {
-        deployment.sed_nodes.push_back(sed.node);
-      }
-    }
-    deployment.fed = std::make_unique<diet::Federation>(
-        env, registry, services, std::move(shard_specs));
+    shard_specs = split_for_federation(spec, cfg.federation_mas);
   } else {
-    deployment.single =
-        std::make_unique<diet::Deployment>(env, registry, services, spec);
-    for (const auto& sed : spec.seds) {
-      deployment.sed_nodes.push_back(sed.node);
-    }
+    shard_specs.push_back(std::move(spec));
   }
+  diet::Federation deployment(env, registry, services,
+                              std::move(shard_specs));
   if (cfg.policy_factory) {
-    deployment.ma().set_policy(cfg.policy_factory());
+    deployment.ma(0).set_policy(cfg.policy_factory());
   }
 
   diet::Client::Tuning client_tuning;
@@ -303,7 +248,7 @@ CampaignResult run_grid5000_campaign(const CampaignConfig& config) {
           break;
         case fault::ProcessFault::Kind::kSedIsolate: {
           ++result.sed_isolations;
-          const net::NodeId node = deployment.sed_nodes.at(index);
+          const net::NodeId node = deployment.sed(index).node();
           env.post_after(delay, [&deployment, &injector, index, node]() {
             GC_WARN << "fault plan: isolating " << deployment.sed(index).name();
             injector->isolate(node);
@@ -311,7 +256,7 @@ CampaignResult run_grid5000_campaign(const CampaignConfig& config) {
           break;
         }
         case fault::ProcessFault::Kind::kSedHeal: {
-          const net::NodeId node = deployment.sed_nodes.at(index);
+          const net::NodeId node = deployment.sed(index).node();
           env.post_after(delay, [&deployment, &injector, index, node]() {
             GC_WARN << "fault plan: healing " << deployment.sed(index).name();
             injector->heal(node);
@@ -519,17 +464,14 @@ CampaignResult run_grid5000_campaign(const CampaignConfig& config) {
     result.messages_duplicated = injector->stats().duplicated.load();
     result.messages_delayed = injector->stats().delayed.load();
   }
-  result.heartbeat_evictions = deployment.ma_heartbeat_evictions();
+  for (std::size_t s = 0; s < deployment.shard_count(); ++s) {
+    const diet::Agent& shard_ma = deployment.ma(s);
+    result.heartbeat_evictions += shard_ma.heartbeat_evictions();
+    result.federation_forwards += shard_ma.peer_stats().forwards;
+    result.federation_replies += shard_ma.peer_stats().replies;
+  }
   for (std::size_t i = 0; i < deployment.la_count(); ++i) {
     result.heartbeat_evictions += deployment.la(i).heartbeat_evictions();
-  }
-  if (deployment.fed) {
-    for (std::size_t s = 0; s < deployment.fed->shard_count(); ++s) {
-      const diet::Agent::PeerStats& stats =
-          deployment.fed->ma(s).peer_stats();
-      result.federation_forwards += stats.forwards;
-      result.federation_replies += stats.replies;
-    }
   }
 
   // Campaign phases as spans (timestamps reconstructed from the records,

@@ -41,7 +41,7 @@ struct CampaignConfig {
   std::uint64_t tie_break_seed = 0;
   ServiceOptions services;        ///< mode defaults to kSim
   diet::AgentTuning agent_tuning; ///< calibrated defaults
-  diet::SedTuning sed_tuning;
+  diet::SedTuning sed_tuning;     ///< also the WAN engine (sed_tuning.wan)
 
   /// Fault injection: kill SED `fault_sed_index` (deployment order) at
   /// virtual time `fault_at_s`. -1 disables. Combine with a call deadline
@@ -78,13 +78,6 @@ struct CampaignConfig {
   /// priced instantly on an idle network. Off by default — the paper's
   /// closed-form costs — and bit-identical to the pre-flow-model runs.
   bool contention = false;
-  /// MPWide-style WAN engine knobs, applied to every SED's bulk dtm
-  /// pushes when set: parallel stripes per transfer (>1 enables striping),
-  /// relay through the requester's LA, modeled compression.
-  int wan_streams = 1;
-  bool wan_relay = false;
-  double wan_compression = 0.0;
-  double wan_compress_bps = 0.0;
   /// Scales every RENATER WAN link's bandwidth (1.0 = the paper's 2.5
   /// Gb/s); < 1 narrows the backbone to provoke congestion.
   double wan_bandwidth_scale = 1.0;
@@ -92,11 +85,12 @@ struct CampaignConfig {
   /// long-fat-network effect striped transfers exist to beat.
   double wan_per_stream_bps = 0.0;
 
-  /// Number of federated MA hierarchies. 1 (the default) builds the exact
-  /// pre-federation single hierarchy; N > 1 splits the deployment's LAs
-  /// round-robin into N shards whose MAs peer in a full mesh (with
-  /// federate_always, since every shard offers the same services). The
-  /// client still talks to MA1; the science digest must not depend on N.
+  /// Number of federated MA hierarchies. 1 (the default) is a one-shard
+  /// diet::Federation of the paper's single hierarchy; N > 1 splits the
+  /// deployment's LAs round-robin into N shards whose MAs peer in a full
+  /// mesh (with federate_always, since every shard offers the same
+  /// services). The client still talks to MA1; the science digest must
+  /// not depend on N.
   int federation_mas = 1;
 };
 

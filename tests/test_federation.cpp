@@ -11,9 +11,11 @@
 // computes, fault-free and under every chaos plan.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -496,6 +498,123 @@ TEST(Federation, LocateCrossesFederationAndPullsPeerToPeer) {
   EXPECT_EQ(client->records().back().sed_name.rfind("SeD2", 0), 0u);
   // The pull healed the remote shard's copy without the client resending.
   EXPECT_EQ(remote.data_manager().count(), 1u);
+}
+
+// ---------- a one-shard federation is a plain deployment ----------
+
+/// One hierarchy as the paper deploys it: an MA, two LAs, two SEDs under
+/// each, every SED offering "work" and the persistent-input "sum".
+diet::DeploymentSpec two_la_spec() {
+  diet::DeploymentSpec spec;
+  spec.ma_node = 100;
+  spec.seed = 9;
+  for (int l = 0; l < 2; ++l) {
+    diet::DeploymentSpec::LaSpec la;
+    la.name = "LA" + std::to_string(l + 1);
+    la.node = static_cast<net::NodeId>(101 + l);
+    for (int s = 0; s < 2; ++s) {
+      diet::DeploymentSpec::SedSpec sed;
+      sed.name = "SeD" + std::to_string(l + 1) + "-" + std::to_string(s);
+      sed.node = static_cast<net::NodeId>(110 + 2 * l + s);
+      sed.machines = 1 + s;
+      la.sed_indexes.push_back(static_cast<int>(spec.seds.size()));
+      spec.seds.push_back(sed);
+    }
+    spec.las.push_back(la);
+  }
+  return spec;
+}
+
+struct Observed {
+  std::vector<diet::Client::CallRecord> records;
+  std::int64_t bytes_sent = 0;
+  std::uint64_t messages_sent = 0;
+};
+
+/// Deploys two_la_spec() as a plain Deployment or as a one-shard
+/// Federation and runs the same calls on it: a burst of six "work" calls,
+/// then two "sum" calls on one persistent vector (the second ships an
+/// id-only reference).
+Observed run_two_la_calls(bool one_shard_federation) {
+  des::Engine engine;
+  net::UniformTopology topology(1e-3, 1.25e8);
+  net::SimEnv env(engine, topology);
+  naming::Registry registry;
+  diet::ServiceTable services;
+  register_twice(services, "work");
+  register_sum(services, "sum");
+  std::unique_ptr<diet::Deployment> plain;
+  std::unique_ptr<diet::Federation> federation;
+  if (one_shard_federation) {
+    federation = std::make_unique<diet::Federation>(
+        env, registry, services,
+        std::vector<diet::DeploymentSpec>{two_la_spec()});
+  } else {
+    plain = std::make_unique<diet::Deployment>(env, registry, services,
+                                               two_la_spec());
+  }
+  engine.run_until(engine.now() + 1.0);
+
+  diet::Client client("client", diet::Client::Tuning{}, 1ull << 32);
+  env.attach(client, 1);
+  client.connect(registry.resolve("MA1").value());
+  const auto ignore = [](const gc::Status&, diet::Profile&) {};
+  for (std::int32_t i = 0; i < 6; ++i) {
+    diet::Profile work("work", 0, 0, 1);
+    work.arg(0).set_scalar<std::int32_t>(i, diet::BaseType::kInt,
+                                         diet::Persistence::kVolatile);
+    work.arg(1).desc.type = diet::DataType::kScalar;
+    work.arg(1).desc.base = diet::BaseType::kInt;
+    client.call_async(std::move(work), ignore);
+  }
+  engine.run();
+  const std::vector<double> data(4096, 0.25);
+  for (int i = 0; i < 2; ++i) {
+    diet::Profile sum("sum", 0, 0, 1);
+    sum.arg(0).set_vector<double>(data, diet::BaseType::kDouble,
+                                  diet::Persistence::kPersistent);
+    sum.arg(1).desc.type = diet::DataType::kScalar;
+    sum.arg(1).desc.base = diet::BaseType::kDouble;
+    client.call_async(std::move(sum), ignore);
+    engine.run();
+  }
+  return Observed{client.records(), env.bytes_sent(), env.messages_sent()};
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(Federation, OneShardFederationIsThePlainDeployment) {
+  // The campaign builds every hierarchy as a diet::Federation, one shard
+  // when it runs one MA. That shard's MA is federation-capable (uid 1,
+  // request keys from 1<<48) but has no peers: it must schedule, time and
+  // charge exactly like the plain Deployment of the same spec.
+  const Observed plain = run_two_la_calls(false);
+  const Observed shard = run_two_la_calls(true);
+
+  ASSERT_EQ(plain.records.size(), 8u);
+  ASSERT_EQ(shard.records.size(), plain.records.size());
+  std::set<std::uint64_t> seds_used;
+  for (std::size_t i = 0; i < plain.records.size(); ++i) {
+    const diet::Client::CallRecord& a = plain.records[i];
+    const diet::Client::CallRecord& b = shard.records[i];
+    SCOPED_TRACE("call " + std::to_string(i));
+    EXPECT_TRUE(a.ok);
+    EXPECT_EQ(b.id, a.id);
+    EXPECT_EQ(b.service, a.service);
+    EXPECT_EQ(bits(b.submitted), bits(a.submitted));
+    EXPECT_EQ(bits(b.found), bits(a.found));
+    EXPECT_EQ(bits(b.started), bits(a.started));
+    EXPECT_EQ(bits(b.completed), bits(a.completed));
+    EXPECT_EQ(b.sed_uid, a.sed_uid);
+    EXPECT_EQ(b.sed_name, a.sed_name);
+    EXPECT_EQ(b.solve_status, a.solve_status);
+    EXPECT_EQ(b.ok, a.ok);
+    seds_used.insert(a.sed_uid);
+  }
+  // The burst spread over both LAs' SEDs, so both subtrees were collected.
+  EXPECT_GE(seds_used.size(), 3u);
+  EXPECT_EQ(shard.bytes_sent, plain.bytes_sent);
+  EXPECT_EQ(shard.messages_sent, plain.messages_sent);
 }
 
 // ---------- the science contract: federated == single-MA ----------
