@@ -8,12 +8,10 @@
 // locality-aware mct-data policy (the estimation vector's bytes-to-move
 // term steers zoom2 calls toward replica holders).
 //
-// Emits BENCH_datalocality.json: modeled WAN (inter-site) bytes, total
-// wire bytes, mean zoom2 latency, and makespan per mode, so the WAN
-// saving is machine-checkable across PRs.
+// Prints modeled WAN (inter-site) bytes, total wire bytes, mean zoom2
+// latency, and makespan per mode, and exits 1 if the persistent modes
+// fail to cut the WAN bytes.
 #include <cstdio>
-#include <fstream>
-#include <string>
 
 #include "common/cli.hpp"
 #include "common/log.hpp"
@@ -37,8 +35,6 @@ int main(int argc, char** argv) {
   const gc::CliArgs args(argc, argv);
   const gc::obs::Session obs = gc::obs::Session::from_cli(args);
   const int sub_sims = static_cast<int>(args.get_int("subsims", 22));
-  const std::string json_path =
-      args.get("json", "BENCH_datalocality.json");
 
   const Row rows[] = {
       {"volatile", gc::diet::Persistence::kVolatile, 1, "default"},
@@ -50,9 +46,6 @@ int main(int argc, char** argv) {
   std::printf("B2: data locality (%d zoom2 requests, 11 SEDs)\n", sub_sims);
   std::printf("%-22s %10s %14s %14s %12s %10s\n", "mode", "policy",
               "WAN bytes", "wire total", "mean lat", "makespan");
-
-  std::ofstream json(json_path, std::ios::trunc);
-  json << "[\n";
 
   std::int64_t volatile_wan = 0;
   std::int64_t best_wan = 0;
@@ -83,29 +76,12 @@ int main(int argc, char** argv) {
                 gc::format_bytes(result.network_bytes).c_str(),
                 gc::format_duration(mean_latency).c_str(),
                 gc::format_duration(result.makespan).c_str());
-
-    char entry[512];
-    std::snprintf(entry, sizeof entry,
-                  "  {\"mode\": \"%s\", \"policy\": \"%s\", "
-                  "\"replicas\": %d, \"sub_simulations\": %d, "
-                  "\"wan_bytes\": %lld, \"total_bytes\": %lld, "
-                  "\"mean_latency_s\": %.3f, \"makespan_s\": %.3f, "
-                  "\"failed_calls\": %llu}%s\n",
-                  row.label, row.policy, row.replicas, sub_sims,
-                  static_cast<long long>(result.wan_bytes),
-                  static_cast<long long>(result.network_bytes), mean_latency,
-                  result.makespan,
-                  static_cast<unsigned long long>(result.failed_calls),
-                  i + 1 < std::size(rows) ? "," : "");
-    json << entry;
   }
-  json << "]\n";
 
   std::printf("\nshape: volatile ships every result tarball across RENATER; "
               "persistent outputs stay where they were produced, so WAN "
               "traffic collapses to ids and namelists. mct-data additionally "
               "steers repeat work toward replica holders.\n");
-  std::printf("wrote %s\n", json_path.c_str());
 
   if (best_wan >= volatile_wan) {
     std::printf("WARNING: persistent modes did not reduce WAN bytes\n");

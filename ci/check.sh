@@ -66,20 +66,30 @@ for s in report["scenarios"]:
     assert s["pruned"] > 0, f'{s["name"]}: sleep sets pruned nothing'
 PY
 
-step "bench-smoke (bench_des --quick)"
+step "bench-smoke (bench_des --quick, five runs)"
 # Not a benchmark run — a regression tripwire. The floor is set ~10x below
 # what this container sustains (see BENCH_des.json) so only a catastrophic
-# DES-kernel slowdown, not machine noise, fails the gate.
-./build/bench/bench_des --quick --floor 250000 --json build/BENCH_des_smoke.json
+# DES-kernel slowdown, not machine noise, fails the gate; every run must
+# clear it.
+for i in 1 2 3 4 5; do
+  ./build/bench/bench_des --quick --floor 250000 \
+    --json "build/BENCH_des_smoke_$i.json"
+done
 # Sampler-on lane tripwire: the full-run record in BENCH_des.json puts the
-# time-series sampler under 5% on pingstorm; in the noisy quick run only a
-# blowout past 10% fails the gate.
-python3 - build/BENCH_des_smoke.json <<'PY'
-import json, sys
-lanes = {w["name"]: w["events_per_sec"]
-         for w in json.load(open(sys.argv[1]))["workloads"]}
-ratio = lanes["pingstorm_sampled"] / lanes["pingstorm"]
-print(f"pingstorm with sampler on: {100 * ratio:.1f}% of sampler-off")
+# time-series sampler under 5% on pingstorm, and only a blowout past 10%
+# fails the gate. One quick run's ratio is too noisy to gate on (2 of 23
+# single runs of unchanged code on a 4-vCPU host read 75.5% and 89.4%), so
+# the gate reads the median of the five runs.
+python3 - build/BENCH_des_smoke_{1..5}.json <<'PY'
+import json, statistics, sys
+ratios = []
+for path in sys.argv[1:]:
+    lanes = {w["name"]: w["events_per_sec"]
+             for w in json.load(open(path))["workloads"]}
+    ratios.append(lanes["pingstorm_sampled"] / lanes["pingstorm"])
+ratio = statistics.median(ratios)
+print(f"pingstorm with sampler on: median {100 * ratio:.1f}% of sampler-off "
+      f"({', '.join(f'{100 * r:.1f}%' for r in ratios)})")
 assert ratio > 0.90, "time-series sampler overhead blew past 10% on pingstorm"
 PY
 

@@ -2,10 +2,17 @@
 //
 // Deploys DIET on the modeled Grid'5000 platform (1 MA, 6 LAs, 11 SEDs x
 // 16 machines), submits the 128^3 / 100 Mpc/h first-part simulation, then
-// the simultaneous sub-simulations, and prints the full report: headline
-// numbers, per-SED distribution, and the finding-time/latency series.
+// the simultaneous sub-simulations, and prints one view (--view) of that
+// single run; every other flag applies to whichever view is printed:
+//
+//   report (default)  the Section 5.2 headline numbers (T1), the per-SED
+//                     distribution (Figure 4 right) and latency percentiles
+//   gantt             Figure 4 left: ASCII Gantt chart plus a CSV job list
+//   fig5              Figure 5: the per-request finding-time and latency
+//                     series plus their summary against the paper's numbers
 //
 //   ./zoom_campaign                      # the paper's exact campaign
+//   ./zoom_campaign --view gantt         # Figure 4 left of the same run
 //   ./zoom_campaign --subsims 30 --policy mct --seed 3
 //   ./zoom_campaign --machines 32        # what 32-machine SEDs would do
 //   ./zoom_campaign --fault-sed 7 --fault-at 600   # kill a SED at t=600s
@@ -52,19 +59,134 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/log.hpp"
+#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "obs/session.hpp"
 #include "workflow/campaign.hpp"
+
+namespace {
+
+using gc::workflow::CampaignConfig;
+using gc::workflow::CampaignResult;
+
+// Abandoned attempts of a chaos run never reached the started stage, and
+// a retried call can start executing (first attempt) before its final
+// find completes (later attempt) — both would corrupt latency statistics.
+bool reached_start(const gc::diet::Client::CallRecord& record) {
+  return record.found >= 0.0 && record.started >= record.found;
+}
+
+// Figure 4 (left): when each sub-simulation ran on which SED, as one ASCII
+// Gantt row per SED plus a CSV job list so the figure can be replotted.
+void print_gantt(const CampaignConfig& config, const CampaignResult& result) {
+  double t_end = 0.0;
+  const double t_begin = result.zoom1.submitted;
+  for (const auto& sed : result.seds) {
+    for (const auto& job : sed.jobs) t_end = std::max(t_end, job.finished);
+  }
+  constexpr int kColumns = 96;
+  const double scale = (t_end - t_begin) / kColumns;
+
+  std::printf("Fig4-left: Gantt chart of the %d sub-simulations over %zu "
+              "SEDs (one column = %s)\n",
+              config.sub_simulations, result.seds.size(),
+              gc::format_duration(scale).c_str());
+  std::printf("%-22s |%-*s|\n", "SED", kColumns, " time ->");
+  for (const auto& sed : result.seds) {
+    std::string row(kColumns, '.');
+    for (const auto& job : sed.jobs) {
+      const int c0 = std::max(
+          0, static_cast<int>((job.started - t_begin) / scale));
+      const int c1 = std::min(
+          kColumns - 1, static_cast<int>((job.finished - t_begin) / scale));
+      for (int c = c0; c <= c1; ++c) {
+        // Alternate job glyphs so adjacent jobs stay distinguishable.
+        row[static_cast<std::size_t>(c)] =
+            job.service == "ramsesZoom1" ? '1'
+                                         : (job.call_id % 2 == 0 ? '#' : '=');
+      }
+    }
+    std::printf("%-22s |%s|\n", sed.name.c_str(), row.c_str());
+  }
+
+  std::printf("\nFig4-left CSV: sed,cluster,site,call_id,service,arrived_s,"
+              "started_s,finished_s\n");
+  for (const auto& sed : result.seds) {
+    for (const auto& job : sed.jobs) {
+      std::printf("%s,%s,%s,%llu,%s,%.3f,%.3f,%.3f\n", sed.name.c_str(),
+                  sed.cluster.c_str(), sed.site.c_str(),
+                  static_cast<unsigned long long>(job.call_id),
+                  job.service.c_str(), job.arrived - t_begin,
+                  job.started - t_begin, job.finished - t_begin);
+    }
+  }
+}
+
+// Figure 5: the finding time is "low and nearly constant (49.8ms on
+// average)"; the latency (data transfer plus service initiation, queue
+// wait included) "grows rapidly" because the simultaneous requests
+// serialize on 11 SEDs; service initiation averages 20.8ms on the first
+// executions; the total middleware overhead is ~7s for 101 simulations.
+void print_fig5(const CampaignResult& result) {
+  std::printf("Fig5 series: request,finding_ms,latency_s (latency plotted in "
+              "log scale in the paper)\n");
+  std::vector<double> latencies;
+  gc::RunningStats finding;
+  for (std::size_t i = 0; i < result.zoom2.size(); ++i) {
+    const auto& record = result.zoom2[i];
+    if (!reached_start(record)) continue;
+    const double find_ms = record.finding_time() * 1e3;
+    const double latency_s = record.latency();
+    finding.add(find_ms);
+    latencies.push_back(latency_s);
+    std::printf("%zu,%.2f,%.4f\n", i + 1, find_ms, latency_s);
+  }
+  if (latencies.empty()) return;
+
+  // First-wave latencies: the requests served immediately (queue empty),
+  // whose latency is data transfer + service initiation only — the
+  // paper's "taken on the 12 firsts executions".
+  std::sort(latencies.begin(), latencies.end());
+  gc::RunningStats first_wave;
+  for (std::size_t i = 0; i < latencies.size() && i < 11; ++i) {
+    first_wave.add(latencies[i]);
+  }
+
+  std::printf("\nsummary (paper -> reproduced)\n");
+  std::printf("finding time mean: 49.8ms -> %.1fms (min %.1f max %.1f)\n",
+              finding.mean(), finding.min(), finding.max());
+  std::printf("near-constant finding: stddev %.1fms (%.0f%% of mean)\n",
+              finding.stddev(), 100.0 * finding.stddev() / finding.mean());
+  std::printf("first-wave latency (xfer+init): ~20.8ms+xfer -> %s mean\n",
+              gc::format_duration(first_wave.mean()).c_str());
+  std::printf("max latency (queue wait dominated): %s\n",
+              gc::format_duration(latencies.back()).c_str());
+  std::printf("latency growth (max/min): %.0fx (log-scale curve)\n",
+              latencies.back() / std::max(latencies.front(), 1e-9));
+  std::printf("total overhead: ~7s -> %s\n",
+              gc::format_duration(result.overhead_total).c_str());
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   gc::set_default_log_level(gc::LogLevel::kWarn);
   const gc::CliArgs args(argc, argv);
   const gc::obs::Session obs = gc::obs::Session::from_cli(args);
 
-  gc::workflow::CampaignConfig config;
+  const std::string view = args.get("view", "report");
+  if (view != "report" && view != "gantt" && view != "fig5") {
+    std::fprintf(stderr, "unknown --view '%s' (report|gantt|fig5)\n",
+                 view.c_str());
+    return 2;
+  }
+
+  CampaignConfig config;
   config.sub_simulations = static_cast<int>(args.get_int("subsims", 100));
   config.policy = args.get("policy", "default");
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
@@ -101,6 +223,11 @@ int main(int argc, char** argv) {
   // chaos report otherwise), so runs can be compared across --mas values;
   // the default report stays byte-identical to the pre-federation binary.
   config.federation_mas = static_cast<int>(args.get_int("mas", 1));
+  if (config.federation_mas < 1) {
+    std::fprintf(stderr, "--mas must be at least 1 (got %d)\n",
+                 config.federation_mas);
+    return 2;
+  }
   const bool print_digest = args.has("digest");
 
   std::string persistence = args.get("persistence", "");
@@ -139,6 +266,11 @@ int main(int argc, char** argv) {
   }
   config.sed_tuning.wan.streams =
       static_cast<int>(args.get_int("wan-streams", streams_default));
+  if (config.sed_tuning.wan.streams < 1) {
+    std::fprintf(stderr, "--wan-streams must be at least 1 (got %d)\n",
+                 config.sed_tuning.wan.streams);
+    return 2;
+  }
   double wan_scale_default = 1.0;
   if (const char* env_ws = std::getenv("GC_WAN_SCALE")) {
     wan_scale_default = std::atof(env_ws);
@@ -146,14 +278,20 @@ int main(int argc, char** argv) {
   config.wan_bandwidth_scale = args.get_double("wan-scale", wan_scale_default);
   config.wan_per_stream_bps = args.get_double("wan-per-stream", 0.0);
 
+  const CampaignResult result = gc::workflow::run_grid5000_campaign(config);
+  if (view == "gantt") {
+    print_gantt(config, result);
+    return 0;
+  }
+  if (view == "fig5") {
+    print_fig5(result);
+    return 0;
+  }
+
   std::printf("zoom campaign: %d sub-simulations of %d^3 particles, "
               "%d nested boxes, policy '%s', %d machines/SED\n\n",
               config.sub_simulations, config.resolution, config.nb_box,
               config.policy.c_str(), config.machines_per_sed);
-
-  const gc::workflow::CampaignResult result =
-      gc::workflow::run_grid5000_campaign(config);
-
   std::printf("first part (ramsesZoom1) : %s on %s\n",
               gc::format_duration(result.part1_duration).c_str(),
               result.zoom1.sed_name.c_str());
@@ -236,11 +374,7 @@ int main(int argc, char** argv) {
   // Latency percentiles (the log-scale curve of Figure 5 in four numbers).
   std::vector<double> latencies;
   for (const auto& record : result.zoom2) {
-    // Abandoned attempts of a chaos run never reached the started stage,
-    // and a retried call can start executing (first attempt) before its
-    // final find completes (later attempt) — both would corrupt the stats.
-    if (record.found < 0.0 || record.started < record.found) continue;
-    latencies.push_back(record.latency());
+    if (reached_start(record)) latencies.push_back(record.latency());
   }
   std::sort(latencies.begin(), latencies.end());
   if (!latencies.empty()) {

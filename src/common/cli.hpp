@@ -1,5 +1,7 @@
 // Minimal command-line flag parser for the examples and benches.
-// Supports --key value and --key=value; unknown flags are reported.
+// Supports --key value and --key=value. Nothing is validated here: a flag
+// no caller reads is ignored, and get_int/get_double return 0 for text
+// that is not a number, so callers range-check the values they use.
 #pragma once
 
 #include <map>
@@ -17,7 +19,7 @@ class CliArgs {
   [[nodiscard]] long get_int(const std::string& key, long fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
-  /// Keys that were provided but never queried (typo detection).
+  /// argv[0] as given.
   [[nodiscard]] std::string program() const { return program_; }
 
  private:

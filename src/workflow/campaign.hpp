@@ -120,7 +120,7 @@ struct CampaignResult {
   std::int64_t network_bytes = 0;   ///< total bytes charged to the network
   std::uint64_t network_messages = 0;
   /// Bytes that crossed a RENATER site boundary — the traffic persistence
-  /// and locality-aware scheduling are meant to save (BENCH_datalocality).
+  /// and locality-aware scheduling are meant to save (bench_b2_datalocality).
   std::int64_t wan_bytes = 0;
 
   /// Order-independent FNV-1a hash of the science every successful zoom2
