@@ -1,4 +1,4 @@
-// bench_des — DES kernel & message-path throughput (BENCH_des.json).
+// bench_des — DES kernel & message-path throughput, and a CI tripwire.
 //
 // Every scaling result in the ROADMAP (MA federation, thousands of
 // concurrent clients, contention-aware networking) rides on the DES
@@ -9,9 +9,9 @@
 //              now + Exp(1), and every 4th firing re-arms a far-future
 //              watchdog after cancelling the previous one (the diet
 //              heartbeat/timeout pattern, so the cancel path is priced in).
-//              Runs on BOTH the optimized engine and the frozen naive
-//              reference (src/des/reference.hpp), so the phold before/after
-//              is measured live in the same binary.
+//              Also run once on the frozen naive reference
+//              (src/des/reference.hpp), so the speedup over the naive
+//              engine is measured live in the same binary.
 //
 //   pingstorm  Request/reply message storm through SimEnv over a
 //              1 MA / 4 LA / 64 SED topology: every SED ping-pongs its LA
@@ -20,33 +20,34 @@
 //
 //   pingstorm_sampled
 //              The same storm with the obs::TimeSeries sampler ticking on
-//              a recurring virtual-time event — its "before" is the
-//              unsampled pingstorm lane from the same run, so the recorded
-//              speedup is exactly the sampler overhead (budget: < 5%).
+//              a recurring virtual-time event. Each sampled run directly
+//              follows an unsampled one, so the ratio of the pair is the
+//              sampler overhead (budget: < 5%).
 //
 //   campaign22 The 22-sub-sim zoom campaign replay (the paper's Section 5
 //              experiment at bench scale), events counted via the
 //              des_events_executed_total metric.
 //
-// Output: events/sec per workload, printed and written to --json
-// (default BENCH_des.json) with before/after numbers. "Before" for
-// pingstorm/campaign22 is the recorded pre-PR measurement in this
-// container (see EXPERIMENTS.md, "DES kernel throughput"); for phold it is
-// the live reference-engine run.
+// phold and the pingstorm pair are each sampled five times in this one
+// process. Exit status 1 if the median sampled/unsampled pingstorm ratio
+// is at or below 0.90 (a sampler blowout past 10%), or if --floor is set
+// and any phold sample lands below it. perfbench (python3 perfbench/run.py)
+// is the performance record; this binary only prints and gates.
 //
-//   bench_des                      # full sizes, writes BENCH_des.json
+//   bench_des                      # full sizes
 //   bench_des --quick              # CI smoke sizes
 //   bench_des --quick --floor 250000   # exit 1 if phold drops below floor
-#include <chrono>
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
+#include <ctime>
 #include <functional>
-#include <string>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "des/engine.hpp"
 #include "des/reference.hpp"
 #include "net/env.hpp"
@@ -58,23 +59,15 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double elapsed_s(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
+// Every lane is timed in thread CPU seconds: a lane descheduled by other
+// load on the host is not charged for it, so a sampled/unsampled pair
+// compares the work each did rather than the machine's load.
+double cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
 }
-
-// Pre-PR throughput of this same bench in this container (1 CPU,
-// RelWithDebInfo, GC_CHECK=ON): median of three back-to-back runs of this
-// exact harness built against the pre-rewrite engine/simenv, interleaved
-// with the post-rewrite runs so both sides saw the same machine load.
-// Methodology and the matching table live in EXPERIMENTS.md.
-constexpr double kRecordedPrePr[3] = {
-    2466107.0,  // phold      (also measured live via ReferenceEngine)
-    1276003.0,  // pingstorm
-    197638.0,   // campaign22 (dominated by campaign setup, not the kernel;
-                //             run-to-run spread is ~±20% either side)
-};
 
 // ---------------------------------------------------------------------------
 // phold
@@ -120,9 +113,9 @@ double phold_rate(std::uint64_t budget, int population) {
     ctx.engine.schedule_after(ctx.rng.exponential(1.0),
                               PholdEvent<EngineT>{&ctx});
   }
-  const auto t0 = Clock::now();
+  const double t0 = cpu_s();
   ctx.engine.run();
-  const double dt = elapsed_s(t0);
+  const double dt = cpu_s() - t0;
   return static_cast<double>(ctx.engine.events_executed()) / dt;
 }
 
@@ -217,9 +210,9 @@ double pingstorm_rate(int rounds, std::uint64_t* messages,
                           gc::des::EventTag::kSampler);
   }
 
-  const auto t0 = Clock::now();
+  const double t0 = cpu_s();
   engine.run();
-  const double dt = elapsed_s(t0);
+  const double dt = cpu_s() - t0;
   metrics.set_enabled(was_on);
   if (sampled) {
     series.set_enabled(false);
@@ -241,7 +234,7 @@ double campaign_rate(int sub_sims, int reps, std::uint64_t* events) {
   metrics.reset();
   metrics.set_enabled(true);
 
-  const auto t0 = Clock::now();
+  const double t0 = cpu_s();
   for (int rep = 0; rep < reps; ++rep) {
     gc::workflow::CampaignConfig config;
     config.sub_simulations = sub_sims;
@@ -252,7 +245,7 @@ double campaign_rate(int sub_sims, int reps, std::uint64_t* events) {
       std::fprintf(stderr, "campaign22: unexpected failed calls\n");
     }
   }
-  const double dt = elapsed_s(t0);
+  const double dt = cpu_s() - t0;
 
   *events = metrics.counter("des_events_executed_total").value();
   metrics.set_enabled(was_on);
@@ -266,81 +259,76 @@ int main(int argc, char** argv) {
   const gc::CliArgs args(argc, argv);
   const bool quick = args.has("quick");
   const double floor = args.get_double("floor", 0.0);
-  const std::string json_path = args.get("json", "BENCH_des.json");
 
   const std::uint64_t phold_budget = quick ? 300000 : 3000000;
   const int phold_population = static_cast<int>(args.get_int("population", 4096));
   const int storm_rounds = quick ? 150 : 3000;
   const int sub_sims = quick ? 6 : 22;
   const int campaign_reps = quick ? 2 : 40;
+  constexpr int kSamples = 5;
 
   std::printf("bench_des (%s): phold %llu events / storm %d rounds / "
-              "campaign %d sub-sims\n\n",
+              "campaign %d sub-sims, %d samples\n\n",
               quick ? "quick" : "full",
               static_cast<unsigned long long>(phold_budget), storm_rounds,
-              sub_sims);
+              sub_sims, kSamples);
 
   // phold: reference lane first so the optimized lane runs on a warm heap.
   const double phold_ref =
       phold_rate<gc::des::ReferenceEngine>(phold_budget, phold_population);
-  const double phold_opt =
-      phold_rate<gc::des::Engine>(phold_budget, phold_population);
-  std::printf("%-11s %12.0f ev/s   (reference %12.0f ev/s, %.2fx)\n", "phold",
-              phold_opt, phold_ref, phold_opt / phold_ref);
+  std::vector<double> phold(kSamples);
+  for (double& rate : phold) {
+    rate = phold_rate<gc::des::Engine>(phold_budget, phold_population);
+  }
+  const double phold_median = gc::percentile(phold, 50.0);
+  const double phold_min = *std::min_element(phold.begin(), phold.end());
+  std::printf("%-12s %12.0f ev/s   (min %.0f; reference %.0f ev/s, %.2fx)\n",
+              "phold", phold_median, phold_min, phold_ref,
+              phold_median / phold_ref);
 
+  // Sampler-overhead lane: each sampled storm directly follows an
+  // unsampled one, so a pair sees the same machine state and its ratio is
+  // the sampler's events/sec cost. One pair is too noisy to gate on, so
+  // the gate reads the median of the pairs.
+  std::vector<double> storm(kSamples);
+  std::vector<double> ratio(kSamples);
   std::uint64_t storm_messages = 0;
-  const double storm = pingstorm_rate(storm_rounds, &storm_messages);
-  std::printf("%-11s %12.0f ev/s   (%llu messages)\n", "pingstorm", storm,
+  for (int i = 0; i < kSamples; ++i) {
+    storm[i] = pingstorm_rate(storm_rounds, &storm_messages);
+    std::uint64_t sampled_messages = 0;
+    ratio[i] = pingstorm_rate(storm_rounds, &sampled_messages,
+                              /*sampled=*/true) /
+               storm[i];
+  }
+  const double ratio_median = gc::percentile(ratio, 50.0);
+  std::printf("%-12s %12.0f ev/s   (%llu messages)\n", "pingstorm",
+              gc::percentile(storm, 50.0),
               static_cast<unsigned long long>(storm_messages));
-
-  // Sampler-overhead lane: the same storm with the time-series sampler
-  // ticking; the ratio against the unsampled lane (same run, same machine
-  // state) is the sampler's events/sec cost — budgeted at < 5%.
-  std::uint64_t sampled_messages = 0;
-  const double storm_sampled =
-      pingstorm_rate(storm_rounds, &sampled_messages, /*sampled=*/true);
-  std::printf("%-11s %12.0f ev/s   (sampler on, %.1f%% of unsampled)\n",
-              "pingstorm+ts", storm_sampled, 100.0 * storm_sampled / storm);
+  std::printf("%-12s %11.1f%% of unsampled (pairs:", "pingstorm+ts",
+              100.0 * ratio_median);
+  for (const double r : ratio) std::printf(" %.1f%%", 100.0 * r);
+  std::printf(")\n");
 
   std::uint64_t campaign_events = 0;
   const double campaign =
       campaign_rate(sub_sims, campaign_reps, &campaign_events);
-  std::printf("%-11s %12.0f ev/s   (%llu events)\n", "campaign22", campaign,
+  std::printf("%-12s %12.0f ev/s   (%llu events)\n", "campaign22", campaign,
               static_cast<unsigned long long>(campaign_events));
 
-  std::ofstream json(json_path, std::ios::trunc);
-  json << "{\n  \"bench\": \"bench_des\",\n  \"quick\": "
-       << (quick ? "true" : "false") << ",\n  \"workloads\": [\n";
-  const char* names[4] = {"phold", "pingstorm", "pingstorm_sampled",
-                          "campaign22"};
-  const double after[4] = {phold_opt, storm, storm_sampled, campaign};
-  const double before[4] = {phold_ref, kRecordedPrePr[1], storm,
-                            kRecordedPrePr[2]};
-  const char* before_src[4] = {"reference engine, live",
-                               "recorded pre-PR, this container",
-                               "pingstorm lane (sampler off), same run",
-                               "recorded pre-PR, this container"};
-  for (int i = 0; i < 4; ++i) {
-    json << "    {\"name\": \"" << names[i] << "\", \"events_per_sec\": "
-         << static_cast<std::uint64_t>(after[i])
-         << ", \"before_events_per_sec\": "
-         << static_cast<std::uint64_t>(before[i]) << ", \"before_source\": \""
-         << before_src[i] << "\", \"speedup\": ";
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.2f",
-                  before[i] > 0.0 ? after[i] / before[i] : 0.0);
-    json << buf << "}" << (i + 1 < 4 ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-  json.close();
-  std::printf("\nwrote %s\n", json_path.c_str());
-
-  if (floor > 0.0 && phold_opt < floor) {
+  bool ok = true;
+  if (floor > 0.0 && phold_min < floor) {
     std::fprintf(stderr,
-                 "FAIL: phold %.0f ev/s below floor %.0f ev/s "
-                 "(10x-regression guard)\n",
-                 phold_opt, floor);
-    return 1;
+                 "FAIL: a phold sample ran at %.0f ev/s, below floor %.0f "
+                 "ev/s (10x-regression guard)\n",
+                 phold_min, floor);
+    ok = false;
   }
-  return 0;
+  if (ratio_median <= 0.90) {
+    std::fprintf(stderr,
+                 "FAIL: time-series sampler overhead blew past 10%% on "
+                 "pingstorm (median %.1f%% of unsampled)\n",
+                 100.0 * ratio_median);
+    ok = false;
+  }
+  return ok ? 0 : 1;
 }

@@ -5,10 +5,10 @@
 // instead of being priced on an idle network, and the dtm pull path runs
 // the MPWide-style WAN engine (striped parallel streams).
 //
-// Three tables into BENCH_network.json:
-//  - compat: contention off — the paper's closed-form costs. The science
-//    digest is recorded so ci/check.sh can pin it against the pre-flow
-//    baseline (the flow model must be invisible when disabled).
+// Three tables, all in virtual time (stdout is deterministic and is
+// pasted verbatim into EXPERIMENTS.md):
+//  - compat: contention off — the paper's closed-form costs; the flow
+//    model must be invisible when disabled, so no flow may run.
 //  - congested: the RENATER backbone narrowed to a sliver while every
 //    request ships a full IC archive. Volatile mode drags every archive
 //    across the congested WAN; persistent keeps bytes where they landed;
@@ -19,13 +19,12 @@
 //    MPWide-style striping restores the link rate.
 //
 // Usage:
-//   bench_network                  # full table, exit 0
-//   bench_network --quick          # CI smoke sizes
-//   bench_network --quick --floor  # exit 1 unless the separation >= 20%
-//                                  # and striping beats single-stream
+//   bench_network           # the table, exit 0
+//   bench_network --floor   # exit 1 unless the separation >= 20%, striping
+//                           # beats single-stream by >= 1.05x, no row lost
+//                           # calls, the compat row ran no flows and every
+//                           # congested row ran some
 #include <cstdio>
-#include <fstream>
-#include <string>
 
 #include "common/cli.hpp"
 #include "common/log.hpp"
@@ -38,11 +37,9 @@ struct Measure {
   double makespan = 0.0;
   double mean_latency = 0.0;
   std::int64_t wan_bytes = 0;
-  std::int64_t total_bytes = 0;
   std::uint64_t flows = 0;
   std::uint64_t peak_flows = 0;
   std::uint64_t failed = 0;
-  std::uint64_t digest = 0;
 };
 
 Measure run(const gc::workflow::CampaignConfig& config) {
@@ -55,11 +52,9 @@ Measure run(const gc::workflow::CampaignConfig& config) {
     m.mean_latency /= static_cast<double>(result.zoom2.size());
   }
   m.wan_bytes = result.wan_bytes;
-  m.total_bytes = result.network_bytes;
   m.flows = result.flows_completed;
   m.peak_flows = result.peak_active_flows;
   m.failed = result.failed_calls;
-  m.digest = result.science_digest;
   return m;
 }
 
@@ -72,35 +67,13 @@ void print_row(const char* label, const Measure& m) {
               gc::format_duration(m.mean_latency).c_str());
 }
 
-void json_row(std::ofstream& json, const char* table, const char* label,
-              const Measure& m, bool last) {
-  char entry[512];
-  std::snprintf(
-      entry, sizeof entry,
-      "  {\"table\": \"%s\", \"mode\": \"%s\", \"makespan_s\": %.3f, "
-      "\"mean_latency_s\": %.3f, \"wan_bytes\": %lld, "
-      "\"total_bytes\": %lld, \"flows_completed\": %llu, "
-      "\"peak_active_flows\": %llu, \"failed_calls\": %llu, "
-      "\"science_digest\": \"%016llx\"}%s\n",
-      table, label, m.makespan, m.mean_latency,
-      static_cast<long long>(m.wan_bytes),
-      static_cast<long long>(m.total_bytes),
-      static_cast<unsigned long long>(m.flows),
-      static_cast<unsigned long long>(m.peak_flows),
-      static_cast<unsigned long long>(m.failed),
-      static_cast<unsigned long long>(m.digest), last ? "" : ",");
-  json << entry;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   gc::set_default_log_level(gc::LogLevel::kWarn);
   const gc::CliArgs args(argc, argv);
-  const bool quick = args.has("quick");
   const bool floor = args.has("floor");
   const int sub_sims = static_cast<int>(args.get_int("subsims", 22));
-  const std::string json_path = args.get("json", "BENCH_network.json");
 
   // The congested regime: every request ships a full IC archive while the
   // backbone is narrowed to 5% — RENATER on a bad day. The striping rows
@@ -111,7 +84,6 @@ int main(int argc, char** argv) {
   const double wan_scale = args.get_double("wan-scale", 0.02);
   const double per_stream_bps = 4e6;
   const int replicas = static_cast<int>(args.get_int("replicas", 2));
-  (void)quick;  // the DES runs the full table in well under a second
 
   auto base = [&](gc::diet::Persistence mode, const char* policy,
                   int replicas) {
@@ -134,36 +106,29 @@ int main(int argc, char** argv) {
     return config;
   };
 
-  std::ofstream json(json_path, std::ios::trunc);
-  json << "[\n";
-
   std::printf("bench_network: %d zoom2 requests, 11 SEDs, %s IC archive\n",
               sub_sims, gc::format_bytes(archive_bytes).c_str());
   std::printf("%-26s %10s %14s %8s %6s %10s\n", "mode", "makespan",
               "WAN bytes", "flows", "peak", "mean lat");
 
-  // -- compat: contention off, stock campaign (digest pinned by CI) -----
+  // -- compat: contention off, stock campaign ---------------------------
   gc::workflow::CampaignConfig compat_config;
   compat_config.sub_simulations = sub_sims;
   const Measure compat = run(compat_config);
   print_row("compat (contention off)", compat);
-  json_row(json, "compat", "default", compat, false);
 
   // -- congested: volatile vs persistent vs persistent+mct-data ---------
   const Measure congested_volatile =
       run(base(gc::diet::Persistence::kVolatile, "default", 1));
   print_row("congested volatile", congested_volatile);
-  json_row(json, "congested", "volatile", congested_volatile, false);
 
   const Measure congested_persistent =
       run(base(gc::diet::Persistence::kPersistent, "default", 1));
   print_row("congested persistent", congested_persistent);
-  json_row(json, "congested", "persistent", congested_persistent, false);
 
   const Measure congested_mct =
       run(base(gc::diet::Persistence::kPersistent, "mct-data", replicas));
   print_row("congested persistent+mct", congested_mct);
-  json_row(json, "congested", "persistent+mct-data", congested_mct, false);
 
   const double separation =
       congested_volatile.makespan > 0.0
@@ -185,21 +150,10 @@ int main(int argc, char** argv) {
     striped[i] = run(config);
     const char* label = i == 0 ? "lossy WAN, 1 stream" : "lossy WAN, 4 streams";
     print_row(label, striped[i]);
-    json_row(json, "striping", i == 0 ? "1-stream" : "4-stream", striped[i],
-             false);
   }
   const double striping_gain =
       striped[1].makespan > 0.0 ? striped[0].makespan / striped[1].makespan
                                 : 0.0;
-
-  char summary[256];
-  std::snprintf(summary, sizeof summary,
-                "  {\"table\": \"summary\", \"separation\": %.4f, "
-                "\"striping_gain\": %.4f, \"sub_simulations\": %d, "
-                "\"archive_bytes\": %lld}\n",
-                separation, striping_gain, sub_sims,
-                static_cast<long long>(archive_bytes));
-  json << summary << "]\n";
 
   std::printf(
       "\nshape: congestion amplifies the data-locality win — volatile "
@@ -208,7 +162,6 @@ int main(int argc, char** argv) {
       "per-stream-capped WAN, striping restores the link rate "
       "(%.2fx faster).\n",
       separation * 100.0, striping_gain);
-  std::printf("wrote %s\n", json_path.c_str());
 
   if (floor) {
     bool ok = true;
@@ -224,15 +177,28 @@ int main(int argc, char** argv) {
                   striping_gain);
       ok = false;
     }
-    if (congested_volatile.failed + congested_persistent.failed +
-            congested_mct.failed + striped[0].failed + striped[1].failed >
-        0) {
-      std::printf("FLOOR FAIL: a congested campaign lost calls\n");
+    if (compat.flows != 0) {
+      std::printf("FLOOR FAIL: contention off but %llu flows ran\n",
+                  static_cast<unsigned long long>(compat.flows));
       ok = false;
     }
-    if (congested_mct.flows == 0) {
-      std::printf("FLOOR FAIL: contention on but no flows ran\n");
-      ok = false;
+    for (const Measure* m :
+         {&congested_volatile, &congested_persistent, &congested_mct}) {
+      if (m->flows == 0) {
+        std::printf("FLOOR FAIL: contention on but a congested row ran no "
+                    "flows\n");
+        ok = false;
+      }
+    }
+    const Measure* rows[] = {&compat,        &congested_volatile,
+                             &congested_persistent, &congested_mct,
+                             &striped[0],    &striped[1]};
+    for (const Measure* m : rows) {
+      if (m->failed != 0) {
+        std::printf("FLOOR FAIL: a campaign lost %llu calls\n",
+                    static_cast<unsigned long long>(m->failed));
+        ok = false;
+      }
     }
     if (!ok) return 1;
   }

@@ -12,16 +12,18 @@
 //   p50/p99    — end-to-end latency quantiles from the request journal.
 //   events/s   — DES events per host second (engine throughput).
 //
-// The science digest must be identical across the MA sweep at each client
-// count (federation changes where requests run, never what they compute);
-// the bench fails otherwise, and fails on any failed call.
+// Each run's line also carries its makespan and science digest, so the
+// EXPERIMENTS.md table reads straight off stdout. The digest must be
+// identical across the MA sweep at each client count (federation changes
+// where requests run, never what they compute). The bench exits 1 on a
+// diverging digest, on any failed call, and on a federated run (mas > 1)
+// that never forwarded to a peer.
 //
-// Output: per-run lines plus --json (default BENCH_serving.json).
-// --quick shrinks the fabric for the CI smoke lane; --floor N fails if
-// the single-MA requests/s lands below N.
+// --quick shrinks the fabric for the CI smoke lane and then also requires
+// at least two MA points, so the digest comparison is never vacuous;
+// --floor N fails if the single-MA requests/s lands below N.
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -34,7 +36,6 @@ int main(int argc, char** argv) {
   const gc::CliArgs args(argc, argv);
   const bool quick = args.has("quick");
   const double floor = args.get_double("floor", 0.0);
-  const std::string json_path = args.get("json", "BENCH_serving.json");
 
   // --trace records the sampled arrival plan (one file per sweep point,
   // suffixed when the sweep has several); --replay drives every run from a
@@ -69,14 +70,10 @@ int main(int argc, char** argv) {
               topology.pods, topology.clusters_per_pod,
               topology.seds_per_cluster, arrival_rate);
 
-  struct Run {
-    int mas;
-    int clients;
-    gc::loadgen::ServingReport report;
-  };
-  std::vector<Run> runs;
   bool ok = true;
-  double single_ma_rate = 0.0;
+  // The floor gates the single-MA baseline; under --mas N>1 there is no
+  // such run, so it gates the sweep's first run instead.
+  double gated_rate = -1.0;
 
   for (const int clients : client_counts) {
     std::uint64_t digest = 0;
@@ -103,18 +100,27 @@ int main(int argc, char** argv) {
           gc::loadgen::run_serving(config);
       std::printf(
           "mas=%d clients=%5d  %8.0f req/s  p50 %7.3fs  p99 %7.3fs  "
-          "%9.0f ev/s  (%zu ok, %zu failed, %llu peer forwards, "
-          "%.1fs wall)\n",
+          "makespan %7.1fs  %9.0f ev/s  (%zu ok, %zu failed, %llu peer "
+          "forwards, digest %016llx, %.1fs wall)\n",
           mas, clients, report.requests_per_sec, report.p50_s, report.p99_s,
+          report.makespan_s,
           report.wall_s > 0.0
               ? static_cast<double>(report.events) / report.wall_s
               : 0.0,
           report.ok, report.failed,
           static_cast<unsigned long long>(report.peer.forwards),
+          static_cast<unsigned long long>(report.science_digest),
           report.wall_s);
       if (report.failed != 0) {
         std::fprintf(stderr, "FAIL: mas=%d clients=%d had %zu failed calls\n",
                      mas, clients, report.failed);
+        ok = false;
+      }
+      if (mas > 1 && report.peer.forwards == 0) {
+        std::fprintf(stderr,
+                     "FAIL: mas=%d clients=%d never exercised peer "
+                     "forwarding\n",
+                     mas, clients);
         ok = false;
       }
       if (!digest_set) {
@@ -129,50 +135,15 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(digest));
         ok = false;
       }
-      if (mas == 1) single_ma_rate = report.requests_per_sec;
-      runs.push_back({mas, clients, report});
+      if (mas == 1 || gated_rate < 0.0) gated_rate = report.requests_per_sec;
     }
     std::printf("\n");
   }
 
-  std::ofstream json(json_path, std::ios::trunc);
-  json << "{\n  \"bench\": \"bench_serving\",\n  \"quick\": "
-       << (quick ? "true" : "false") << ",\n  \"sed_count\": "
-       << (runs.empty() ? 0 : runs.front().report.sed_count)
-       << ",\n  \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const Run& r = runs[i];
-    char digest_buf[24];
-    std::snprintf(digest_buf, sizeof digest_buf, "%016llx",
-                  static_cast<unsigned long long>(r.report.science_digest));
-    json << "    {\"mas\": " << r.mas << ", \"clients\": " << r.clients
-         << ", \"requests\": " << r.report.arrivals
-         << ", \"ok\": " << r.report.ok << ", \"failed\": " << r.report.failed
-         << ", \"requests_per_sec\": "
-         << static_cast<std::uint64_t>(r.report.requests_per_sec)
-         << ", \"p50_s\": " << r.report.p50_s
-         << ", \"p99_s\": " << r.report.p99_s << ", \"events\": "
-         << r.report.events << ", \"events_per_sec\": "
-         << static_cast<std::uint64_t>(
-                r.report.wall_s > 0.0
-                    ? static_cast<double>(r.report.events) / r.report.wall_s
-                    : 0.0)
-         << ", \"makespan_s\": " << r.report.makespan_s
-         << ", \"peer_forwards\": " << r.report.peer.forwards
-         << ", \"peer_replies\": " << r.report.peer.replies
-         << ", \"science_digest\": \"" << digest_buf << "\"}"
-         << (i + 1 < runs.size() ? "," : "") << "\n";
+  if (quick && !args.has("mas") && ma_counts.size() < 2) {
+    std::fprintf(stderr, "FAIL: the quick sweep lost its MA points\n");
+    ok = false;
   }
-  json << "  ]\n}\n";
-  json.close();
-  std::printf("wrote %s\n", json_path.c_str());
-
-  // The floor gates the single-MA baseline; under --mas N>1 there is no
-  // such run, so fall back to gating the sweep's (sole) rate instead.
-  const double gated_rate =
-      single_ma_rate > 0.0 || runs.empty()
-          ? single_ma_rate
-          : runs.front().report.requests_per_sec;
   if (floor > 0.0 && gated_rate < floor) {
     std::fprintf(stderr, "FAIL: %.0f req/s below floor %.0f req/s\n",
                  gated_rate, floor);

@@ -14,7 +14,6 @@
 #include "common/log.hpp"
 #include "obs/session.hpp"
 #include "parallel/pool.hpp"
-#include "parallel_json.hpp"
 #include "ramses/domain.hpp"
 #include "ramses/loader.hpp"
 #include "ramses/simulation.hpp"
@@ -47,7 +46,6 @@ int main(int argc, char** argv) {
   gc::set_default_log_level(gc::LogLevel::kWarn);
   const gc::CliArgs args(argc, argv);
   const gc::obs::Session obs = gc::obs::Session::from_cli(args);
-  const std::string json_path = args.get("json", "");
 
   gc::ramses::RunParams params;
   params.npart_dim = 16;
@@ -73,11 +71,10 @@ int main(int argc, char** argv) {
 
   // Intra-node pool scaling of the same single-rank run: wall clock per
   // GC_THREADS, with the byte-identity guarantee checked against the
-  // 1-thread reference.
+  // 1-thread reference (exit 1 if any pooled run differs).
   std::printf("\npool threads (single rank):\n%8s %12s %10s %12s\n",
               "threads", "wall ms", "speedup", "identical");
-  std::vector<gc::bench::ParallelEntry> entries;
-  entries.push_back({"run_simulation", params.npart_dim, 1, serial_ms, 1.0});
+  bool all_identical = true;
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
     gc::parallel::set_thread_count(threads);
     const auto s0 = std::chrono::steady_clock::now();
@@ -86,15 +83,9 @@ int main(int argc, char** argv) {
     const double ms =
         std::chrono::duration<double, std::milli>(s1 - s0).count();
     const bool identical = snapshots_identical(serial, pooled);
+    all_identical &= identical;
     std::printf("%8zu %12.0f %10.2f %12s\n", threads, ms, serial_ms / ms,
                 identical ? "yes" : "NO");
-    entries.push_back({"run_simulation", params.npart_dim, threads, ms,
-                       serial_ms / ms});
-  }
-  if (!json_path.empty()) {
-    gc::bench::append_parallel_entries(json_path, entries);
-    std::printf("appended %zu entries to %s\n", entries.size(),
-                json_path.c_str());
   }
   gc::parallel::set_thread_count(0);
 
@@ -141,6 +132,10 @@ int main(int argc, char** argv) {
   for (const int ranks : {2, 4, 8, 16, 32}) {
     gc::ramses::DomainDecomposition domain(final_particles, 4, ranks);
     std::printf("%6d %12.3f\n", ranks, domain.imbalance(final_particles));
+  }
+  if (!all_identical) {
+    std::fprintf(stderr, "FAIL: a pooled run differs from the serial run\n");
+    return 1;
   }
   return 0;
 }

@@ -53,73 +53,28 @@ step "model-checker smoke (ctest -L mc-smoke + mc_explore sweep)"
 # inequivalent schedule of each scenario is executed and the invariant
 # layer checked on all of them, plus the seeded-mutation detection proofs.
 ctest --preset default -L mc-smoke --output-on-failure
-./build/examples/mc_explore --json build/BENCH_mc.json
-# Tripwires on the sweep: every scenario must explore to completion with
-# no violation, and sleep-set reduction must actually prune.
-python3 - build/BENCH_mc.json <<'PY'
-import json, sys
-report = json.load(open(sys.argv[1]))
-for s in report["scenarios"]:
-    print(f'{s["name"]}: explored={s["explored"]} pruned={s["pruned"]}')
-    assert s["complete"], f'{s["name"]} hit the execution cap'
-    assert not s["violation"], f'{s["name"]} violated an invariant'
-    assert s["pruned"] > 0, f'{s["name"]}: sleep sets pruned nothing'
-PY
+# mc_explore exits 1 on any violation; completeness, exact explored and
+# execution counts and sleep-set pruning are pinned per scenario in
+# tests/test_mc.cpp (McSmoke.ScenariosExploreCleanWithPinnedCounts).
+./build/examples/mc_explore
 
-step "bench-smoke (bench_des --quick, five runs)"
-# Not a benchmark run — a regression tripwire. The floor is set ~10x below
-# what this container sustains (see BENCH_des.json) so only a catastrophic
-# DES-kernel slowdown, not machine noise, fails the gate; every run must
-# clear it.
-for i in 1 2 3 4 5; do
-  ./build/bench/bench_des --quick --floor 250000 \
-    --json "build/BENCH_des_smoke_$i.json"
-done
-# Sampler-on lane tripwire: the full-run record in BENCH_des.json puts the
-# time-series sampler under 5% on pingstorm, and only a blowout past 10%
-# fails the gate. One quick run's ratio is too noisy to gate on (2 of 23
-# single runs of unchanged code on a 4-vCPU host read 75.5% and 89.4%), so
-# the gate reads the median of the five runs.
-python3 - build/BENCH_des_smoke_{1..5}.json <<'PY'
-import json, statistics, sys
-ratios = []
-for path in sys.argv[1:]:
-    lanes = {w["name"]: w["events_per_sec"]
-             for w in json.load(open(path))["workloads"]}
-    ratios.append(lanes["pingstorm_sampled"] / lanes["pingstorm"])
-ratio = statistics.median(ratios)
-print(f"pingstorm with sampler on: median {100 * ratio:.1f}% of sampler-off "
-      f"({', '.join(f'{100 * r:.1f}%' for r in ratios)})")
-assert ratio > 0.90, "time-series sampler overhead blew past 10% on pingstorm"
-PY
+step "bench-smoke (bench_des --quick: five phold samples, five pingstorm pairs)"
+# Not a benchmark run — a regression tripwire; perfbench is the record.
+# The floor is set ~10x below what a 4-vCPU host sustains, so only a
+# catastrophic DES-kernel slowdown, not machine noise, fails the gate, and
+# every phold sample must clear it. The time-series sampler costs under 5%
+# on pingstorm; bench_des exits 1 if the median sampled/unsampled ratio of
+# its five interleaved pairs is at or below 0.90 (one pair is too noisy to
+# gate on).
+./build/bench/bench_des --quick --floor 250000
 
-step "network smoke (bench_network --quick --floor + compat digest gate)"
-# The contention-aware flow model, end to end: the congested campaign must
-# keep the volatile vs persistent+mct-data makespan separation above 20%,
-# MPWide-style striping must beat a single stream on the lossy WAN, and
-# the compat row (contention off) must land on the stock paper digest —
-# the flow model has to be invisible when disabled.
-./build/bench/bench_network --quick --floor \
-  --json build/BENCH_network_smoke.json
-python3 - build/BENCH_network_smoke.json <<'PY'
-import json, sys
-rows = json.load(open(sys.argv[1]))
-summary = next(r for r in rows if r["table"] == "summary")
-compat = next(r for r in rows if r["table"] == "compat")
-congested = [r for r in rows if r["table"] == "congested"]
-assert summary["separation"] >= 0.20, \
-    f'separation {summary["separation"]:.2%} < 20%'
-assert summary["striping_gain"] >= 1.05, \
-    f'striping gain {summary["striping_gain"]:.2f}x < 1.05x'
-assert compat["flows_completed"] == 0, "contention off but flows ran"
-assert all(r["flows_completed"] > 0 for r in congested), \
-    "contention on but a congested row ran no flows"
-assert all(r.get("failed_calls", 0) == 0 for r in rows), \
-    "a campaign lost calls"
-print(f'separation {summary["separation"]:.1%}, '
-      f'striping gain {summary["striping_gain"]:.2f}x, '
-      f'compat digest {compat["science_digest"]}')
-PY
+step "network smoke (bench_network --floor + compat digest gate)"
+# The contention-aware flow model, end to end. bench_network --floor exits
+# 1 unless the congested campaign keeps the volatile vs persistent+mct-data
+# makespan separation at or above 20%, MPWide-style striping beats a single
+# stream on the lossy WAN by at least 1.05x, the compat row (contention
+# off) ran no flows, every congested row ran some, and no row lost calls.
+./build/bench/bench_network --floor
 # Contention-off digest gate: with the flow model compiled in but
 # disabled, the stock 22-sub-sim campaign must still produce the exact
 # pre-flow-model science digest.
@@ -146,25 +101,11 @@ echo "3 fault-free campaign stdouts byte-identical to their pins"
 
 step "serving smoke (bench_serving --quick + federated digest gate)"
 # Same tripwire philosophy as bench-smoke: the quick sweep sustains ~400
-# req/s single-MA on this container, so only a serving-path collapse trips
-# the 300 floor. bench_serving itself asserts 0 failed calls and digest
-# equality across the 1- and 2-MA sweep points.
-./build/bench/bench_serving --quick --floor 300 \
-  --json build/BENCH_serving_smoke.json
-python3 - build/BENCH_serving_smoke.json <<'PY'
-import json, sys
-runs = json.load(open(sys.argv[1]))["runs"]
-assert len(runs) >= 2, "quick sweep lost its MA points"
-assert all(r["failed"] == 0 for r in runs), "serving run failed calls"
-assert len({r["science_digest"] for r in runs}) == 1, \
-    "science digest depends on the MA count"
-fed = [r for r in runs if r["mas"] > 1]
-assert fed and all(r["peer_forwards"] > 0 for r in fed), \
-    "federated run never exercised peer forwarding"
-print(f"{len(runs)} serving runs, 0 failed, digest "
-      f"{runs[0]['science_digest']} across mas="
-      f"{sorted(r['mas'] for r in runs)}")
-PY
+# virtual req/s single-MA, so only a serving-path collapse trips the 300
+# floor. bench_serving exits 1 on any failed call, on a science digest that
+# differs between the 1- and 2-MA sweep points, on a 2-MA run with no peer
+# forwards, or if the quick sweep ran fewer than two MA points.
+./build/bench/bench_serving --quick --floor 300
 # The campaign itself must also be MA-count-invariant: the paper's 22
 # sub-simulation experiment split across a 2-MA federation has to land on
 # the same science digest as the stock single-MA run.

@@ -4,7 +4,6 @@
 //   mc_explore --scenario small_drop   # one scenario
 //   mc_explore --naive                 # sleep sets off (pruning baseline)
 //   mc_explore --max-executions N      # cap (0 = unlimited)
-//   mc_explore --json FILE             # machine-readable results
 //   mc_explore --trace-out FILE        # write counterexample trace here
 //   mc_explore --replay FILE           # deterministically re-run a trace
 //   mc_explore --mutate NAME           # re-introduce a known-fixed bug
@@ -52,25 +51,6 @@ void print_result(const ScenarioOutcome& outcome) {
             << (r.complete ? " complete"
                            : (r.violation_found ? " stopped" : " CAPPED"))
             << (r.violation_found ? " VIOLATION" : " ok") << "\n";
-}
-
-std::string json_of(const std::vector<ScenarioOutcome>& outcomes,
-                    bool sleep_sets) {
-  std::ostringstream out;
-  out << "{\n  \"checker\": \"dpor\",\n  \"sleep_sets\": "
-      << (sleep_sets ? "true" : "false") << ",\n  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const gc::mc::Result& r = outcomes[i].result;
-    out << "    {\"name\": \"" << outcomes[i].name << "\", \"explored\": "
-        << r.schedules_explored << ", \"pruned\": " << r.schedules_pruned
-        << ", \"executions\": " << r.executions << ", \"decision_points\": "
-        << r.decision_points << ", \"max_enabled\": " << r.max_enabled
-        << ", \"complete\": " << (r.complete ? "true" : "false")
-        << ", \"violation\": " << (r.violation_found ? "true" : "false")
-        << "}" << (i + 1 < outcomes.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  return out.str();
 }
 
 int run_replay(const std::string& path) {
@@ -121,7 +101,6 @@ int main(int argc, char** argv) {
   // expected retry warnings over and over; GC_LOG_LEVEL overrides.
   gc::set_default_log_level(gc::LogLevel::kError);
   std::string only;
-  std::string json_path;
   std::string trace_out;
   std::string replay_path;
   gc::mc::Options options;
@@ -136,8 +115,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--scenario") {
       only = next();
-    } else if (arg == "--json") {
-      json_path = next();
     } else if (arg == "--trace-out") {
       trace_out = next();
     } else if (arg == "--replay") {
@@ -207,10 +184,6 @@ int main(int argc, char** argv) {
     std::cerr << "mc_explore: no scenario named '" << only
               << "' (see --list)\n";
     return 2;
-  }
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << json_of(outcomes, options.sleep_sets);
   }
   return violated ? 1 : 0;
 }

@@ -172,6 +172,15 @@ void print_fig5(const CampaignResult& result) {
               gc::format_duration(result.overhead_total).c_str());
 }
 
+// A numeric flag below its minimum is a usage error: exit 2 with a message
+// naming the flag, before the campaign trips an internal check.
+bool at_least(const char* flag, long value, long min) {
+  if (value >= min) return true;
+  std::fprintf(stderr, "--%s must be at least %ld (got %ld)\n", flag, min,
+               value);
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -223,11 +232,6 @@ int main(int argc, char** argv) {
   // chaos report otherwise), so runs can be compared across --mas values;
   // the default report stays byte-identical to the pre-federation binary.
   config.federation_mas = static_cast<int>(args.get_int("mas", 1));
-  if (config.federation_mas < 1) {
-    std::fprintf(stderr, "--mas must be at least 1 (got %d)\n",
-                 config.federation_mas);
-    return 2;
-  }
   const bool print_digest = args.has("digest");
 
   std::string persistence = args.get("persistence", "");
@@ -266,17 +270,23 @@ int main(int argc, char** argv) {
   }
   config.sed_tuning.wan.streams =
       static_cast<int>(args.get_int("wan-streams", streams_default));
-  if (config.sed_tuning.wan.streams < 1) {
-    std::fprintf(stderr, "--wan-streams must be at least 1 (got %d)\n",
-                 config.sed_tuning.wan.streams);
-    return 2;
-  }
   double wan_scale_default = 1.0;
   if (const char* env_ws = std::getenv("GC_WAN_SCALE")) {
     wan_scale_default = std::atof(env_ws);
   }
   config.wan_bandwidth_scale = args.get_double("wan-scale", wan_scale_default);
   config.wan_per_stream_bps = args.get_double("wan-per-stream", 0.0);
+
+  // Zero sub-simulations is a valid zoom1-only run; the zoom services
+  // refuse a resolution below 2.
+  if (!at_least("subsims", config.sub_simulations, 0) ||
+      !at_least("machines", config.machines_per_sed, 1) ||
+      !at_least("resolution", config.resolution, 2) ||
+      !at_least("mas", config.federation_mas, 1) ||
+      !at_least("replicas", config.replicas, 1) ||
+      !at_least("wan-streams", config.sed_tuning.wan.streams, 1)) {
+    return 2;
+  }
 
   const CampaignResult result = gc::workflow::run_grid5000_campaign(config);
   if (view == "gantt") {

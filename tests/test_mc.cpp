@@ -90,6 +90,8 @@ TEST(McSmoke, ScenariosExploreCleanWithPinnedCounts) {
         << want.name << ": " << result.violation.what;
     EXPECT_EQ(result.schedules_explored, want.explored) << want.name;
     EXPECT_EQ(result.executions, want.executions) << want.name;
+    EXPECT_GT(result.schedules_pruned, 0u)
+        << want.name << ": sleep sets pruned nothing";
   }
 }
 

@@ -1,14 +1,20 @@
 // The shared thread pool: chunking, nesting, exception propagation, and
-// the determinism contract (byte-identical simulation snapshots at any
-// thread count).
+// the determinism contract (byte-identical simulation snapshots, halo
+// catalogs and 2LPT displacements at any thread count).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "grafic/ic.hpp"
+#include "halo/halomaker.hpp"
 #include "parallel/pool.hpp"
 #include "ramses/simulation.hpp"
 
@@ -167,19 +173,22 @@ TEST(Pool, ReduceIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(std::memcmp(&s1, &s5, sizeof(double)), 0);
 }
 
+template <typename T>
+bool same_bytes(const std::vector<T>& u, const std::vector<T>& v) {
+  return u.size() == v.size() &&
+         (u.empty() ||
+          std::memcmp(u.data(), v.data(), u.size() * sizeof(T)) == 0);
+}
+
 /// Byte-level equality of two particle sets (positions, momenta, masses,
 /// ids — everything a snapshot carries).
 bool byte_identical(const gc::ramses::ParticleSet& a,
                     const gc::ramses::ParticleSet& b) {
-  auto same = [](const auto& u, const auto& v) {
-    using T = typename std::decay_t<decltype(u)>::value_type;
-    return u.size() == v.size() &&
-           (u.empty() ||
-            std::memcmp(u.data(), v.data(), u.size() * sizeof(T)) == 0);
-  };
-  return same(a.x, b.x) && same(a.y, b.y) && same(a.z, b.z) &&
-         same(a.px, b.px) && same(a.py, b.py) && same(a.pz, b.pz) &&
-         same(a.mass, b.mass) && same(a.id, b.id) && same(a.level, b.level);
+  return same_bytes(a.x, b.x) && same_bytes(a.y, b.y) &&
+         same_bytes(a.z, b.z) && same_bytes(a.px, b.px) &&
+         same_bytes(a.py, b.py) && same_bytes(a.pz, b.pz) &&
+         same_bytes(a.mass, b.mass) && same_bytes(a.id, b.id) &&
+         same_bytes(a.level, b.level);
 }
 
 TEST(Determinism, SimulationSnapshotsByteIdenticalAcrossThreadCounts) {
@@ -226,6 +235,68 @@ TEST(Determinism, ZoomSimulationByteIdenticalAcrossThreadCounts) {
   for (std::size_t s = 0; s < serial.snapshots.size(); ++s) {
     EXPECT_TRUE(byte_identical(serial.snapshots[s].particles,
                                threaded.snapshots[s].particles));
+  }
+}
+
+// FoF and the GRAFIC 2LPT term are pool-backed kernels the tests above
+// never reach: run_simulation's generator leaves 2LPT off, and no halo
+// finding happens inside a run.
+TEST(Determinism, HalosAndSecondOrderDisplacementByteIdenticalAcrossThreadCounts) {
+  ThreadCountGuard guard;
+  // Clustered FoF input: half uniform, half in 8 tight Gaussian blobs,
+  // with unequal masses so a reordered mass sum changes the bits.
+  constexpr std::size_t kParticles = std::size_t{1} << 12;
+  gc::Rng rng(6);
+  std::vector<double> x, y, z, mass;
+  std::vector<std::uint64_t> id;
+  auto wrap = [](double v) { return v - std::floor(v); };
+  for (std::size_t i = 0; i < kParticles; ++i) {
+    if (i < kParticles / 2) {
+      x.push_back(rng.uniform());
+      y.push_back(rng.uniform());
+      z.push_back(rng.uniform());
+    } else {
+      x.push_back(wrap(0.25 + 0.5 * static_cast<double>(i % 2) +
+                       rng.normal(0.0, 0.01)));
+      y.push_back(wrap(0.25 + 0.5 * static_cast<double>((i / 2) % 2) +
+                       rng.normal(0.0, 0.01)));
+      z.push_back(wrap(0.25 + 0.5 * static_cast<double>((i / 4) % 2) +
+                       rng.normal(0.0, 0.01)));
+    }
+    mass.push_back((0.5 + rng.uniform()) / static_cast<double>(kParticles));
+    id.push_back(i + 1);
+  }
+  const std::vector<double> zeros(kParticles, 0.0);
+  const gc::halo::ParticleView view{&x,     &y,     &z,    &zeros,
+                                    &zeros, &zeros, &mass, &id};
+
+  // 2LPT input: a small Gaussian density contrast field.
+  constexpr int kMesh = 16;
+  std::vector<float> delta(kMesh * kMesh * kMesh);
+  for (float& v : delta) v = static_cast<float>(0.1 * rng.normal());
+
+  struct Outputs {
+    std::vector<double> halo_masses;  ///< in catalog order
+    std::array<std::vector<float>, 3> psi2;
+  };
+  auto run_at = [&](std::size_t threads) {
+    set_thread_count(threads);
+    Outputs out;
+    for (const auto& halo : gc::halo::find_halos(view, 1.0, 100.0).halos) {
+      out.halo_masses.push_back(halo.mass);
+    }
+    out.psi2 = gc::grafic::second_order_displacement(delta, kMesh, 100.0);
+    return out;
+  };
+  const Outputs serial = run_at(1);
+  const Outputs threaded = run_at(4);
+
+  ASSERT_GE(serial.halo_masses.size(), 8u);
+  EXPECT_TRUE(same_bytes(serial.halo_masses, threaded.halo_masses))
+      << "halo masses differ between GC_THREADS=1 and 4";
+  for (int axis = 0; axis < 3; ++axis) {
+    EXPECT_TRUE(same_bytes(serial.psi2[axis], threaded.psi2[axis]))
+        << "2LPT displacement axis " << axis << " differs";
   }
 }
 
