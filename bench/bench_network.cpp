@@ -59,7 +59,7 @@ Measure run(const gc::workflow::CampaignConfig& config) {
 }
 
 void print_row(const char* label, const Measure& m) {
-  std::printf("%-26s %10s %14s %8llu %6llu %10s\n", label,
+  std::printf("%-26s %12s %14s %8llu %6llu %10s\n", label,
               gc::format_duration(m.makespan).c_str(),
               gc::format_bytes(m.wan_bytes).c_str(),
               static_cast<unsigned long long>(m.flows),
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
 
   std::printf("bench_network: %d zoom2 requests, 11 SEDs, %s IC archive\n",
               sub_sims, gc::format_bytes(archive_bytes).c_str());
-  std::printf("%-26s %10s %14s %8s %6s %10s\n", "mode", "makespan",
+  std::printf("%-26s %12s %14s %8s %6s %10s\n", "mode", "makespan",
               "WAN bytes", "flows", "peak", "mean lat");
 
   // -- compat: contention off, stock campaign ---------------------------

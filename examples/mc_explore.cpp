@@ -10,7 +10,8 @@
 //   mc_explore --list                  # list scenarios
 //
 // Exit codes: 0 clean (or replay reproduced its violation), 1 a scenario
-// violated a property, 2 usage/replay error.
+// violated a property, 2 usage/replay error, 3 no violation but a scenario
+// hit --max-executions before its exploration completed (not a proof).
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -160,11 +161,13 @@ int main(int argc, char** argv) {
 
   std::vector<ScenarioOutcome> outcomes;
   bool violated = false;
+  bool capped = false;
   for (const gc::mc::Scenario& scenario : gc::mc::scenarios()) {
     if (!only.empty() && scenario.name != only) continue;
     const gc::mc::Result result = gc::mc::explore(scenario.fn, options);
     outcomes.push_back(ScenarioOutcome{scenario.name, result});
     print_result(outcomes.back());
+    if (!result.complete && !result.violation_found) capped = true;
     if (result.violation_found) {
       violated = true;
       std::cout << gc::mc::format_counterexample(result);
@@ -185,5 +188,6 @@ int main(int argc, char** argv) {
               << "' (see --list)\n";
     return 2;
   }
-  return violated ? 1 : 0;
+  if (violated) return 1;
+  return capped ? 3 : 0;
 }

@@ -1,6 +1,9 @@
 #include "ramses/pm.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/log.hpp"
 #include "math/fft.hpp"
@@ -10,85 +13,121 @@ namespace gc::ramses {
 
 namespace {
 
-/// Particles per CIC deposit chunk. The chunk decomposition depends only on
-/// the particle count — never on the thread count — so the chunk-ordered
-/// reduction below gives byte-identical grids for any GC_THREADS.
-constexpr std::size_t kDepositGrain = 16384;
-
 /// Grain for the embarrassingly parallel per-particle sweeps (disjoint
 /// writes, so chunking cannot affect the result).
 constexpr std::size_t kParticleGrain = 8192;
+
+/// Index i of an n-cell periodic axis, wrapped into [0, n) the way
+/// Grid3::atp wraps it.
+std::size_t wrap(long i, long n) {
+  return static_cast<std::size_t>(((i % n) + n) % n);
+}
+
+/// Coordinate x in cell units shifted by half a cell: the floor of it is
+/// the lower of the two cells whose centres share the particle's mass.
+double cic_coord(double x, double nd) { return x * nd - 0.5; }
 
 }  // namespace
 
 math::Grid3<double> cic_deposit(const ParticleSet& particles, int n) {
   GC_CHECK(n > 0);
   const auto nu = static_cast<std::size_t>(n);
+  const std::size_t plane_cells = nu * nu;
   math::Grid3<double> delta(nu, 0.0);
   const double nd = static_cast<double>(n);
   const double cell_mass_unit = nd * nd * nd;  // delta normalization
 
   const std::size_t npart = particles.size();
-  const std::size_t nchunks =
-      parallel::chunk_count(0, npart, kDepositGrain);
+  const std::size_t nchunks = parallel::chunk_count(0, npart, kCicChunk);
 
-  // Scatter each fixed particle chunk into its own private grid, then
-  // reduce the grids cell-by-cell in ascending chunk order. Within a chunk
-  // particles deposit in index order, so the full floating-point reduction
-  // tree is a function of the particle count alone.
-  auto deposit_range = [&](math::Grid3<double>& grid, std::size_t begin,
-                           std::size_t end) {
-    for (std::size_t p = begin; p < end; ++p) {
-      // Cell-centred CIC: the particle shares mass with the 8 nearest cell
-      // centres.
-      const double gx = particles.x[p] * nd - 0.5;
-      const double gy = particles.y[p] * nd - 0.5;
-      const double gz = particles.z[p] * nd - 0.5;
-      const long i0 = static_cast<long>(std::floor(gx));
-      const long j0 = static_cast<long>(std::floor(gy));
-      const long k0 = static_cast<long>(std::floor(gz));
-      const double fx = gx - static_cast<double>(i0);
-      const double fy = gy - static_cast<double>(j0);
-      const double fz = gz - static_cast<double>(k0);
-      const double m = particles.mass[p] * cell_mass_unit;
-      for (int di = 0; di <= 1; ++di) {
-        const double wx = di ? fx : 1.0 - fx;
-        for (int dj = 0; dj <= 1; ++dj) {
-          const double wy = dj ? fy : 1.0 - fy;
-          for (int dk = 0; dk <= 1; ++dk) {
-            const double wz = dk ? fz : 1.0 - fz;
-            grid.atp(i0 + di, j0 + dj, k0 + dk) += m * wx * wy * wz;
-          }
-        }
+  auto lower_plane = [&](std::size_t p) {
+    return static_cast<long>(std::floor(cic_coord(particles.x[p], nd)));
+  };
+  // Adds particle p's share on x-plane i0 + di (wrapped) to `cells`, that
+  // plane's n*n cells, in the (dj, dk) order of the full 8-cell cloud.
+  auto deposit_share = [&](double* cells, std::size_t p, int di) {
+    // Cell-centred CIC: the particle shares mass with the 8 nearest cell
+    // centres.
+    const double gx = cic_coord(particles.x[p], nd);
+    const double gy = cic_coord(particles.y[p], nd);
+    const double gz = cic_coord(particles.z[p], nd);
+    const long i0 = static_cast<long>(std::floor(gx));
+    const long j0 = static_cast<long>(std::floor(gy));
+    const long k0 = static_cast<long>(std::floor(gz));
+    const double fx = gx - static_cast<double>(i0);
+    const double fy = gy - static_cast<double>(j0);
+    const double fz = gz - static_cast<double>(k0);
+    const double m = particles.mass[p] * cell_mass_unit;
+    const std::array<std::size_t, 2> rows = {wrap(j0, n) * nu,
+                                             wrap(j0 + 1, n) * nu};
+    const std::array<std::size_t, 2> cols = {wrap(k0, n), wrap(k0 + 1, n)};
+    const double wx = di ? fx : 1.0 - fx;
+    for (int dj = 0; dj <= 1; ++dj) {
+      const double wy = dj ? fy : 1.0 - fy;
+      for (int dk = 0; dk <= 1; ++dk) {
+        const double wz = dk ? fz : 1.0 - fz;
+        cells[rows[dj] + cols[dk]] += m * wx * wy * wz;
       }
     }
   };
 
-  if (nchunks <= 1) {
-    deposit_range(delta, 0, npart);
-  } else {
-    std::vector<math::Grid3<double>> partials(nchunks,
-                                              math::Grid3<double>(nu, 0.0));
-    parallel::for_each_chunk(
-        0, npart, kDepositGrain,
-        [&](std::size_t c, std::size_t begin, std::size_t end) {
-          deposit_range(partials[c], begin, end);
-        });
-    // Cell-parallel, chunk-ordered reduction: every cell sums its chunk
-    // contributions in the same (ascending) order at any thread count.
-    double* out = delta.raw().data();
-    parallel::parallel_for(
-        0, delta.size(), kParticleGrain,
-        [&](std::size_t begin, std::size_t end) {
+  // The mesh is the sum, in ascending chunk order, of the partial
+  // deposits of fixed particle chunks, each built in particle order, so
+  // the floating-point reduction tree is a function of the particle count
+  // alone. Partials are built one x-plane at a time, for only the chunks
+  // that touch the plane (a clustered chunk touches a small share of the
+  // planes). Skipping a chunk that misses a plane skips adding +0.0 to a
+  // sum of non-negative masses, which is exact: the bits are those of a
+  // reduction over dense per-chunk grids, at any thread count.
+  //
+  // Pre-pass: per chunk, list the particle shares (2p + di) landing on
+  // each plane, in particle order; chunk c's lists fill shares[2 * begin,
+  // 2 * end) and plane i's list is [start[i], start[i + 1]).
+  std::vector<std::size_t> plane_start(nchunks * (nu + 1), 0);
+  std::vector<std::size_t> shares(2 * npart);
+  parallel::for_each_chunk(
+      0, npart, kCicChunk,
+      [&](std::size_t c, std::size_t begin, std::size_t end) {
+        std::size_t* start = plane_start.data() + c * (nu + 1);
+        for (std::size_t p = begin; p < end; ++p) {
+          const long i0 = lower_plane(p);
+          ++start[wrap(i0, n) + 1];
+          ++start[wrap(i0 + 1, n) + 1];
+        }
+        start[0] = 2 * begin;
+        for (std::size_t i = 1; i <= nu; ++i) start[i] += start[i - 1];
+        std::vector<std::size_t> next(start, start + nu);
+        for (std::size_t p = begin; p < end; ++p) {
+          const long i0 = lower_plane(p);
+          shares[next[wrap(i0, n)]++] = 2 * p;
+          shares[next[wrap(i0 + 1, n)]++] = 2 * p + 1;
+        }
+      });
+
+  // Plane-parallel deposit and reduction: one plane of scratch per task,
+  // nothing kept across calls (minimpi ranks call this concurrently).
+  double* out = delta.raw().data();
+  parallel::parallel_for(
+      0, nu, 1, [&](std::size_t i_begin, std::size_t i_end) {
+        std::vector<double> partial(plane_cells);
+        for (std::size_t i = i_begin; i < i_end; ++i) {
+          double* cells = out + i * plane_cells;
           for (std::size_t c = 0; c < nchunks; ++c) {
-            const double* part = partials[c].raw().data();
-            for (std::size_t i = begin; i < end; ++i) out[i] += part[i];
+            const std::size_t* start = plane_start.data() + c * (nu + 1);
+            if (start[i] == start[i + 1]) continue;
+            std::fill(partial.begin(), partial.end(), 0.0);
+            for (std::size_t s = start[i]; s < start[i + 1]; ++s) {
+              deposit_share(partial.data(), shares[s] / 2,
+                            static_cast<int>(shares[s] % 2));
+            }
+            for (std::size_t cell = 0; cell < plane_cells; ++cell) {
+              cells[cell] += partial[cell];
+            }
           }
-        });
-  }
+        }
+      });
 
   // rho/rho_mean - 1 (total mass 1 spread over n^3 cells gives mean 1).
-  double* out = delta.raw().data();
   parallel::parallel_for(0, delta.size(), kParticleGrain,
                          [out](std::size_t begin, std::size_t end) {
                            for (std::size_t i = begin; i < end; ++i) {
@@ -198,9 +237,12 @@ std::array<std::vector<double>, 3> interpolate_forces(
 
 std::array<std::vector<double>, 3> PmSolver::accelerations(
     const ParticleSet& particles, double a) const {
-  const math::Grid3<double> delta = cic_deposit(particles, options_.grid_n);
   const double rhs = 1.5 * options_.omega_m / a;
-  const math::Grid3<double> phi = solve_poisson(delta, rhs);
+  // The density mesh is a temporary, freed before the force arrays are
+  // allocated, which keeps the step's heap footprint (and the free heap
+  // left resident after a run) smaller.
+  const math::Grid3<double> phi =
+      solve_poisson(cic_deposit(particles, options_.grid_n), rhs);
   return interpolate_forces(phi, particles);
 }
 
@@ -232,13 +274,19 @@ void PmSolver::drift(ParticleSet& particles, double a, double da) const {
   particles.wrap_positions();
 }
 
-void PmSolver::step(ParticleSet& particles, double a, double da) const {
-  // KDK: half kick at a, full drift at midpoint, half kick at a + da.
-  auto acc = accelerations(particles, a);
-  kick(particles, acc, a, 0.5 * da);
+void PmSolver::step(ParticleSet& particles, double a, double da,
+                    Acceleration& acc) const {
+  // KDK: half kick at a, full drift at midpoint, half kick at a + da. The
+  // opening force is the same computation as the closing force of the
+  // previous step whenever the a bits agree, so reusing it keeps the bits.
+  const bool holds_opening =
+      std::bit_cast<std::uint64_t>(acc.a) == std::bit_cast<std::uint64_t>(a) &&
+      acc.g[0].size() == particles.size();
+  if (!holds_opening) acc = {a, accelerations(particles, a)};
+  kick(particles, acc.g, a, 0.5 * da);
   drift(particles, a + 0.5 * da, da);
-  acc = accelerations(particles, a + da);
-  kick(particles, acc, a + da, 0.5 * da);
+  acc = {a + da, accelerations(particles, a + da)};
+  kick(particles, acc.g, a + da, 0.5 * da);
 }
 
 double momentum_from_kms(double v_kms, double a, double box_mpc) {

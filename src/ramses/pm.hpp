@@ -17,12 +17,19 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
+#include <vector>
 
 #include "cosmo/cosmology.hpp"
 #include "math/grid3.hpp"
 #include "ramses/particles.hpp"
 
 namespace gc::ramses {
+
+/// Particles per CIC deposit chunk. The chunks depend only on the particle
+/// count, never on the thread count, so cic_deposit's chunk-ordered
+/// reduction gives byte-identical grids at any GC_THREADS.
+inline constexpr std::size_t kCicChunk = 16384;
 
 /// CIC-deposits particle masses onto an n^3 periodic grid; the result is
 /// the overdensity field delta = rho/rho_mean - 1 when the set covers the
@@ -38,6 +45,14 @@ math::Grid3<double> solve_poisson(const math::Grid3<double>& delta,
 std::array<std::vector<double>, 3> interpolate_forces(
     const math::Grid3<double>& phi, const ParticleSet& particles);
 
+/// Per-particle acceleration -grad(phi) at expansion factor `a`, one array
+/// per axis. The step loop owns one across steps: a KDK step's closing
+/// force is the next step's opening force, since a kick moves no particle.
+struct Acceleration {
+  double a = 0.0;
+  std::array<std::vector<double>, 3> g;
+};
+
 class PmSolver {
  public:
   struct Options {
@@ -48,13 +63,13 @@ class PmSolver {
   PmSolver(const cosmo::Cosmology& cosmology, const Options& options)
       : cosmology_(cosmology), options_(options) {}
 
-  /// One kick-drift-kick leapfrog step from a to a + da (in place).
-  void step(ParticleSet& particles, double a, double da) const;
-
-  /// Computes accelerations at expansion factor a (exposed for the
-  /// parallel driver, which exchanges particles between kicks).
-  std::array<std::vector<double>, 3> accelerations(
-      const ParticleSet& particles, double a) const;
+  /// One kick-drift-kick leapfrog step from a to a + da (in place). The
+  /// opening force is taken from `acc` when it holds one force per
+  /// particle at exactly `a` (bit-equal), and recomputed otherwise; on
+  /// return `acc` holds the closing force at a + da. A caller that moves,
+  /// adds or reorders particles between steps must pass a fresh record.
+  void step(ParticleSet& particles, double a, double da,
+            Acceleration& acc) const;
 
   [[nodiscard]] const Options& options() const { return options_; }
 
@@ -66,6 +81,9 @@ class PmSolver {
   void drift(ParticleSet& particles, double a, double da) const;
 
  private:
+  std::array<std::vector<double>, 3> accelerations(
+      const ParticleSet& particles, double a) const;
+
   const cosmo::Cosmology& cosmology_;
   Options options_;
 };

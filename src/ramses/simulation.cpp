@@ -197,6 +197,8 @@ RunResult run_simulation(const RunParams& params,
   // Hard backstop so a pathological CFL cannot loop forever.
   const int max_total_steps = params.adaptive ? 64 * params.steps
                                               : params.steps;
+  // Carries each step's closing force into the next step (and substep).
+  Acceleration acc;
 
   for (int i = 0; i < params.steps; ++i) {
     const double a1 = a[static_cast<std::size_t>(i) + 1];
@@ -213,7 +215,7 @@ RunResult run_simulation(const RunParams& params,
                                      params.pm_grid, params.cfl));
         if (result.steps_taken >= max_total_steps) da = a1 - current;
       }
-      solver.step(particles, current, da);
+      solver.step(particles, current, da, acc);
       current += da;
       ++result.steps_taken;
     }
@@ -242,6 +244,8 @@ RunResult run_simulation(const RunParams& params,
 
 RunResult run_simulation_parallel(const RunParams& params, int nranks) {
   GC_CHECK(nranks >= 1);
+  // Steps between Hilbert rebalancing exchanges.
+  constexpr int kRebalanceEvery = 8;
   if (nranks == 1) return run_simulation(params);
 
   RunResult result;
@@ -261,7 +265,6 @@ RunResult run_simulation_parallel(const RunParams& params, int nranks) {
     const std::vector<double> a = schedule(params);
     const std::vector<double> aout = output_times(params);
     std::size_t next_out = 0;
-    const auto n_mesh = static_cast<std::size_t>(params.pm_grid);
 
     auto global_acc = [&](ParticleSet& p, double aa) {
       math::Grid3<double> delta = cic_deposit(p, params.pm_grid);
@@ -272,16 +275,21 @@ RunResult run_simulation_parallel(const RunParams& params, int nranks) {
       for (auto& v : delta.raw()) v -= 1.0;
       const double rhs = 1.5 * params.cosmology.omega_m / aa;
       const math::Grid3<double> phi = solve_poisson(delta, rhs);
-      (void)n_mesh;
       return interpolate_forces(phi, p);
     };
 
+    std::array<std::vector<double>, 3> acc;
     for (int i = 0; i < params.steps; ++i) {
       const double a0 = a[static_cast<std::size_t>(i)];
       const double a1 = a[static_cast<std::size_t>(i) + 1];
       const double da = a1 - a0;
 
-      auto acc = global_acc(mine, a0);
+      // The closing force of step i-1 opens step i, except at the first
+      // step and right after a rebalancing exchange: that moves particles
+      // between ranks, so the rank-summed mesh (and each rank's particle
+      // order) changes. global_acc is a collective, so the decision
+      // depends on the step index alone.
+      if (i % kRebalanceEvery == 0) acc = global_acc(mine, a0);
       solver.kick(mine, acc, a0, 0.5 * da);
       solver.drift(mine, a0 + 0.5 * da, da);
       acc = global_acc(mine, a1);
@@ -289,7 +297,7 @@ RunResult run_simulation_parallel(const RunParams& params, int nranks) {
 
       // Periodic rebalancing: recompute the Hilbert decomposition from
       // the global distribution and exchange.
-      if ((i + 1) % 8 == 0) {
+      if ((i + 1) % kRebalanceEvery == 0) {
         // Build the new decomposition from a reduced coarse histogram:
         // every rank must construct an identical domain, so gather all
         // particles' coarse cells via the weights inside the ctor — here

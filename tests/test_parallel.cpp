@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "check/statehash.hpp"
 #include "common/rng.hpp"
 #include "grafic/ic.hpp"
 #include "halo/halomaker.hpp"
@@ -236,6 +237,53 @@ TEST(Determinism, ZoomSimulationByteIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(byte_identical(serial.snapshots[s].particles,
                                threaded.snapshots[s].particles));
   }
+}
+
+/// FNV-1a over a snapshot's particle arrays, field by field, the way the
+/// perfbench pm workload hashes its final snapshot.
+std::uint64_t snapshot_hash(const gc::ramses::ParticleSet& p) {
+  gc::check::Fnv h;
+  for (const auto* field : {&p.x, &p.y, &p.z, &p.px, &p.py, &p.pz, &p.mass}) {
+    h.bytes(field->data(), field->size() * sizeof(double));
+  }
+  h.bytes(p.id.data(), p.id.size() * sizeof(std::uint64_t));
+  return h.h;
+}
+
+// 32^3 particles are two CIC deposit chunks, so this run reaches the
+// chunk-ordered reduction the 8^3 runs above never need. The parameters
+// and the pin are the perfbench tiny pm workload's.
+TEST(Determinism, MultiChunkDepositPinnedAcrossThreadCounts) {
+  ThreadCountGuard guard;
+  gc::ramses::RunParams params;
+  params.npart_dim = 32;
+  params.pm_grid = 64;
+  params.steps = 4;
+  params.seed = 42;
+  for (const std::size_t threads : {1u, 4u}) {
+    set_thread_count(threads);
+    const gc::ramses::RunResult result = gc::ramses::run_simulation(params);
+    ASSERT_FALSE(result.snapshots.empty());
+    EXPECT_EQ(snapshot_hash(result.snapshots.back().particles),
+              0x1e450371ece21375ULL)
+        << "at GC_THREADS=" << threads;
+  }
+}
+
+// The minimpi driver rebalances its Hilbert domains after every 8th step,
+// which moves particles between ranks; 12 steps put 4 steps after the
+// exchange, so the pin covers the force recomputed on the new ownership.
+TEST(Determinism, MinimpiRunPinnedAcrossRebalance) {
+  gc::ramses::RunParams params;
+  params.npart_dim = 32;
+  params.pm_grid = 32;
+  params.steps = 12;
+  params.seed = 42;
+  const gc::ramses::RunResult result =
+      gc::ramses::run_simulation_parallel(params, 2);
+  ASSERT_FALSE(result.snapshots.empty());
+  EXPECT_EQ(snapshot_hash(result.snapshots.back().particles),
+            0x67c91939d1af1e87ULL);
 }
 
 // FoF and the GRAFIC 2LPT term are pool-backed kernels the tests above

@@ -200,8 +200,9 @@ TEST_P(Seeded, LeapfrogConservesMassAndWrapsPositions) {
   }
   const double mass0 = particles.total_mass();
   double a = 0.2;
+  ramses::Acceleration acc;
   for (int s = 0; s < 10; ++s) {
-    solver.step(particles, a, 0.05);
+    solver.step(particles, a, 0.05, acc);
     a += 0.05;
     ASSERT_TRUE(particles.valid());
   }

@@ -6,9 +6,13 @@
 
 #include <cmath>
 #include <filesystem>
+#include <algorithm>
+#include <cstring>
 #include <numeric>
 
+#include "common/rng.hpp"
 #include "cosmo/cosmology.hpp"
+#include "parallel/pool.hpp"
 #include "ramses/amr.hpp"
 #include "ramses/domain.hpp"
 #include "ramses/loader.hpp"
@@ -155,6 +159,87 @@ TEST(Pm, TwoBodiesAttract) {
   EXPECT_NEAR(acc[1][0], 0.0, 1e-9);              // no transverse force
 }
 
+/// The dense, chunk-ordered CIC reduction: each fixed chunk of kCicChunk
+/// particles scatters into its own full grid, then every cell sums the
+/// grids in ascending chunk order. cic_deposit must match it bit for bit.
+math::Grid3<double> dense_chunked_cic(const ParticleSet& particles, int n) {
+  const auto nu = static_cast<std::size_t>(n);
+  const double nd = static_cast<double>(n);
+  const double cell_mass_unit = nd * nd * nd;
+  math::Grid3<double> delta(nu, 0.0);
+  for (std::size_t begin = 0; begin < particles.size(); begin += kCicChunk) {
+    const std::size_t end = std::min(particles.size(), begin + kCicChunk);
+    math::Grid3<double> partial(nu, 0.0);
+    for (std::size_t p = begin; p < end; ++p) {
+      const double gx = particles.x[p] * nd - 0.5;
+      const double gy = particles.y[p] * nd - 0.5;
+      const double gz = particles.z[p] * nd - 0.5;
+      const long i0 = static_cast<long>(std::floor(gx));
+      const long j0 = static_cast<long>(std::floor(gy));
+      const long k0 = static_cast<long>(std::floor(gz));
+      const double fx = gx - static_cast<double>(i0);
+      const double fy = gy - static_cast<double>(j0);
+      const double fz = gz - static_cast<double>(k0);
+      const double m = particles.mass[p] * cell_mass_unit;
+      for (int di = 0; di <= 1; ++di) {
+        const double wx = di ? fx : 1.0 - fx;
+        for (int dj = 0; dj <= 1; ++dj) {
+          const double wy = dj ? fy : 1.0 - fy;
+          for (int dk = 0; dk <= 1; ++dk) {
+            const double wz = dk ? fz : 1.0 - fz;
+            partial.atp(i0 + di, j0 + dj, k0 + dk) += m * wx * wy * wz;
+          }
+        }
+      }
+    }
+    for (std::size_t i = 0; i < delta.size(); ++i) {
+      delta.raw()[i] += partial.raw()[i];
+    }
+  }
+  for (double& v : delta.raw()) v -= 1.0;
+  return delta;
+}
+
+TEST(Pm, CicDepositMatchesDenseChunkedReference) {
+  // Three full chunks and a short fourth, each a narrow slab in x, so most
+  // x-planes of every chunk stay untouched. Each chunk also holds particles
+  // within half a cell of x = 0 and x = 1, whose CIC clouds wrap across
+  // planes n-1 and 0. Unequal masses make any reordered sum show.
+  constexpr int kMesh = 32;
+  const std::size_t count = 3 * kCicChunk + 5000;
+  const double half_cell = 0.5 / kMesh;
+  Rng rng(17);
+  ParticleSet particles;
+  for (std::size_t p = 0; p < count; ++p) {
+    const std::size_t chunk = p / kCicChunk;
+    double x = 0.0;
+    if (p % 97 == 0) {
+      x = rng.uniform() * half_cell;
+    } else if (p % 97 == 1) {
+      x = 1.0 - half_cell + rng.uniform() * half_cell;
+    } else {
+      x = 0.2 + 0.2 * static_cast<double>(chunk) + rng.normal(0.0, 0.02);
+      x -= std::floor(x);
+    }
+    particles.push_back(x, rng.uniform(), rng.uniform(), 0, 0, 0,
+                        (0.5 + rng.uniform()) / static_cast<double>(count),
+                        p + 1, 0);
+  }
+  ASSERT_TRUE(particles.valid());
+
+  const math::Grid3<double> expected = dense_chunked_cic(particles, kMesh);
+  for (const std::size_t threads : {1u, 4u}) {
+    parallel::set_thread_count(threads);
+    const math::Grid3<double> delta = cic_deposit(particles, kMesh);
+    ASSERT_EQ(delta.size(), expected.size());
+    EXPECT_EQ(std::memcmp(delta.raw().data(), expected.raw().data(),
+                          delta.size() * sizeof(double)),
+              0)
+        << "at GC_THREADS=" << threads;
+  }
+  parallel::set_thread_count(0);
+}
+
 TEST(Pm, MomentumUnitConversions) {
   const double v = 312.5;  // km/s
   const double a = 0.25;
@@ -202,9 +287,10 @@ TEST(Pm, ZeldovichModeGrowsLikeD) {
   const int steps = 64;
   double a = a0;
   const double ratio = std::pow(a1 / a0, 1.0 / steps);
+  Acceleration acc;
   for (int s = 0; s < steps; ++s) {
     const double next = a * ratio;
-    solver.step(particles, a, next - a);
+    solver.step(particles, a, next - a, acc);
     a = next;
   }
 
